@@ -235,10 +235,10 @@ void run_parallel_report(const char* json_path) {
 // Kernel backends head-to-head on the two linalg hot paths: a CitySee-scale
 // NMF factorization (GEMM-bound) and a batch of NNLS solves (SYRK/GEMV-
 // bound), at 1 thread and at the parallel budget, one row per backend this
-// build-and-host combination can actually run. Reference and blocked share
-// a per-element accumulation order, so their objectives must agree
-// bit-for-bit; the simd backend is held to the documented ≤1e-12 relative
-// parity instead. The JSON header records the detected CPU features so rows
+// build-and-host combination can actually run. Each backend's objective
+// must be bit-identical at 1 thread and at the parallel budget, and the
+// simd backend is held to the documented ≤1e-12 relative parity with
+// reference. The JSON header records the detected CPU features so rows
 // from different machines stay comparable.
 void run_linalg_backend_report(const char* json_path) {
   using vn2::linalg::Backend;
@@ -301,8 +301,6 @@ void run_linalg_backend_report(const char* json_path) {
   };
   std::vector<Row> rows;
   rows.push_back({Backend::kReference, {}, {}, {}, 0.0, 0.0, 0.0});
-  if (vn2::linalg::blocked_kernels_compiled())
-    rows.push_back({Backend::kBlocked, {}, {}, {}, 0.0, 0.0, 0.0});
   if (vn2::linalg::simd_available())
     rows.push_back({Backend::kSimd, {}, {}, {}, 0.0, 0.0, 0.0});
   // NNLS first, while no pool exists: its per-solve cost is microseconds,
@@ -315,17 +313,14 @@ void run_linalg_backend_report(const char* json_path) {
   vn2::core::set_num_threads(0);
   vn2::linalg::set_backend(vn2::linalg::parse_backend("auto").value());
 
-  // Parity: scalar backends (reference/blocked) must match bit-for-bit;
-  // every backend — simd included — stays within 1e-12 relative of the
-  // reference objective.
+  // Parity: every backend gives the same bits at 1 thread and at the
+  // parallel budget, and stays within 1e-12 relative of the reference
+  // objective.
   const Row& ref = rows.front();
-  bool scalar_identical = ref.obj_1t == ref.obj_mt;
+  bool thread_identical = true;
   double max_rel_dev = 0.0;
   for (const Row& row : rows) {
-    if (row.backend == Backend::kBlocked)
-      scalar_identical = scalar_identical && row.obj_1t == ref.obj_1t &&
-                         row.obj_mt == ref.obj_mt &&
-                         row.nnls_sum == ref.nnls_sum;
+    thread_identical = thread_identical && row.obj_1t == row.obj_mt;
     auto rel = [](double got, double want) {
       const double scale = std::max(1.0, std::abs(want));
       return std::abs(got - want) / scale;
@@ -360,14 +355,10 @@ void run_linalg_backend_report(const char* json_path) {
   auto median_of = [](const std::vector<double>& samples) {
     return samples.empty() ? 0.0 : vn2::benchstat::summarize(samples).median;
   };
-  const std::vector<double> blk_fac_speedup =
-      speedup_samples(Backend::kBlocked, Backend::kReference, &Row::fac_1t);
   const std::vector<double> simd_fac_speedup =
-      speedup_samples(Backend::kSimd, Backend::kBlocked, &Row::fac_1t);
-  const std::vector<double> blk_nnls_speedup =
-      speedup_samples(Backend::kBlocked, Backend::kReference, &Row::nnls_1t);
+      speedup_samples(Backend::kSimd, Backend::kReference, &Row::fac_1t);
   const std::vector<double> simd_nnls_speedup =
-      speedup_samples(Backend::kSimd, Backend::kBlocked, &Row::nnls_1t);
+      speedup_samples(Backend::kSimd, Backend::kReference, &Row::nnls_1t);
 
   for (const Row& row : rows)
     std::printf("linalg backend %-9s factorize %zux86 r=25 (60 iters): "
@@ -376,14 +367,13 @@ void run_linalg_backend_report(const char* json_path) {
                 vn2::linalg::backend_name(row.backend), fac_rows,
                 median_of(row.fac_1t), median_of(row.fac_mt),
                 parallel_threads, nnls_batch, median_of(row.nnls_1t), reps);
-  std::printf("linalg backends [cpu %s]: blocked/reference %.2fx @1t, "
-              "simd/blocked %.2fx @1t (nnls %.2fx); scalar outputs %s, "
-              "max relative deviation %.3e (%s 1e-12)\n",
+  std::printf("linalg backends [cpu %s]: simd/reference %.2fx @1t "
+              "(nnls %.2fx); 1t vs %zut outputs %s, max relative deviation "
+              "%.3e (%s 1e-12)\n",
               vn2::linalg::cpu_features_summary().c_str(),
-              median_of(blk_fac_speedup), median_of(simd_fac_speedup),
-              median_of(simd_nnls_speedup),
-              scalar_identical ? "identical" : "DIVERGED", max_rel_dev,
-              within_tolerance ? "within" : "EXCEEDS");
+              median_of(simd_fac_speedup), median_of(simd_nnls_speedup),
+              parallel_threads, thread_identical ? "identical" : "DIVERGED",
+              max_rel_dev, within_tolerance ? "within" : "EXCEEDS");
 
   auto record = vn2::bench_support::make_record(
       "linalg_backends",
@@ -414,22 +404,14 @@ void run_linalg_backend_report(const char* json_path) {
   // CPU speed cancel out, so a baseline survives runner changes within a
   // host class. Absolute seconds above stay informational.
   vn2::benchstat::Case ratios{"ratios", {}};
-  if (!blk_fac_speedup.empty())
-    ratios.metrics.push_back(vn2::benchstat::make_metric(
-        "blocked_speedup_1t", "x", false, true, blk_fac_speedup));
   if (!simd_fac_speedup.empty())
     ratios.metrics.push_back(vn2::benchstat::make_metric(
-        "simd_speedup_over_blocked_1t", "x", false, true, simd_fac_speedup));
-  if (!blk_nnls_speedup.empty())
-    ratios.metrics.push_back(vn2::benchstat::make_metric(
-        "nnls_blocked_speedup", "x", false, true, blk_nnls_speedup));
+        "simd_speedup_1t", "x", false, true, simd_fac_speedup));
   if (!simd_nnls_speedup.empty())
     ratios.metrics.push_back(vn2::benchstat::make_metric(
-        "nnls_simd_speedup_over_blocked", "x", false, true,
-        simd_nnls_speedup));
+        "nnls_simd_speedup", "x", false, true, simd_nnls_speedup));
   record.cases.push_back(std::move(ratios));
-  record.checks.push_back(
-      {"scalar_backends_bit_identical", scalar_identical});
+  record.checks.push_back({"bit_identical_across_threads", thread_identical});
   record.checks.push_back({"within_parity_tolerance", within_tolerance});
   vn2::bench_support::write_record_file(json_path, record);
 }

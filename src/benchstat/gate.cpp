@@ -54,6 +54,15 @@ std::string percent(double fraction) {
   return buffer;
 }
 
+/// "+12.3% worse" for a positive worse-delta, "91.0% better" for a
+/// negative one.
+std::string movement(double worse_delta) {
+  if (worse_delta >= 0.0) return percent(worse_delta) + " worse";
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.1f%% better", -worse_delta * 100.0);
+  return buffer;
+}
+
 std::string short_number(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.4g", value);
@@ -154,8 +163,7 @@ std::string render_text(const GateReport& report) {
       case Verdict::kImproved:
       case Verdict::kRegressed:
         out += ": median " + short_number(f.base_median) + " -> " +
-               short_number(f.run_median) + " (" + percent(f.worse_delta) +
-               " worse";
+               short_number(f.run_median) + " (" + movement(f.worse_delta);
         out += f.gated ? ", gated)" : ")";
         break;
       case Verdict::kStale:

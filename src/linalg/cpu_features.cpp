@@ -22,6 +22,9 @@ CpuFeatures detect_cpu_features() {
   features.masked = mask_active();
   if (features.masked) return features;
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  // kernels.cpp picks the default backend during static initialisation,
+  // possibly before the runtime's own cpuid constructor has run.
+  __builtin_cpu_init();
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
   features.fma = __builtin_cpu_supports("fma") != 0;
 #elif defined(__aarch64__)

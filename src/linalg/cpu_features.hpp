@@ -3,10 +3,11 @@
 // The `simd` backend (kernels_simd.cpp) is compiled for a fixed target —
 // AVX2+FMA on x86-64, NEON on aarch64 — so whether it may run is a
 // *runtime* property of the host, not a build-time one. This header is the
-// single source of truth for that decision: `set_backend()` consults it so
-// kAuto never selects a backend the CPU cannot execute, and the CLI
-// consults it to turn a forced `--linalg-backend simd` on unsupported
-// hardware into a clean usage error instead of SIGILL.
+// single source of truth for that decision: the process default and
+// `set_backend()` consult it so neither ever selects a backend the CPU
+// cannot execute, and the CLI consults it to turn a forced
+// `--linalg-backend simd` on unsupported hardware into a clean usage error
+// instead of SIGILL.
 //
 // Testing hook: setting the environment variable VN2_CPU_FEATURES=scalar
 // masks every SIMD feature, so the unsupported-hardware paths (forced

@@ -1,21 +1,13 @@
 // Kernel backend implementations. See kernels.hpp for the dispatch and
-// reproducibility contract. The blocked kernels are deliberately plain
-// C++: register tiles small enough to stay in the baseline x86-64 SIMD
-// register file, restrict-qualified pointers so the autovectorizer knows
-// the tiles don't alias, and a per-element accumulation order identical
-// to the reference loops so switching backends (or re-partitioning rows
-// across threads) cannot change results.
+// reproducibility contract. The reference kernels live here; the simd
+// bodies are in kernels_simd.cpp, compiled in whenever the architecture
+// and compiler support them (kernels_simd.hpp).
 #include "linalg/kernels.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 #include "linalg/cpu_features.hpp"
 #include "linalg/kernels_simd.hpp"
-
-#ifndef VN2_BLOCKED_KERNELS
-#define VN2_BLOCKED_KERNELS 1
-#endif
 
 #if defined(__GNUC__) || defined(__clang__)
 #define VN2_RESTRICT __restrict__
@@ -27,16 +19,22 @@ namespace vn2::linalg {
 
 namespace {
 
-constexpr bool kBlockedCompiled = VN2_BLOCKED_KERNELS != 0;
 constexpr bool kSimdCompiled = VN2_SIMD_COMPILED != 0;
 
-std::atomic<Backend> g_backend{kBlockedCompiled ? Backend::kBlocked
-                                                : Backend::kReference};
+/// The fastest backend this build and host CPU can run: simd when
+/// simd_available(), else reference.
+Backend fastest_available() noexcept {
+  return simd_available() ? Backend::kSimd : Backend::kReference;
+}
+
+// Resolved during static initialisation, so the process default is what
+// the CPU supports (and what VN2_CPU_FEATURES leaves of it at start-up).
+std::atomic<Backend> g_backend{fastest_available()};
 
 // ---------------------------------------------------------------------------
 // Reference kernels: the textbook scalar loops, kept as the semantics
 // oracle. Each output element is one accumulator summed in ascending
-// inner-index order — the contract the blocked kernels must match.
+// inner-index order.
 
 void gemm_rows_reference(const double* VN2_RESTRICT a,
                          const double* VN2_RESTRICT b, double* VN2_RESTRICT c,
@@ -75,183 +73,6 @@ void syrk_upper_reference(const double* VN2_RESTRICT a, std::size_t rows,
   }
 }
 
-#if VN2_BLOCKED_KERNELS
-
-// ---------------------------------------------------------------------------
-// Blocked kernels. Tile geometry: 4 A-rows × 4 C-columns of accumulators.
-// The full-tile body has compile-time trip counts, so after unrolling the
-// 16 accumulators live in registers across the whole p loop (8 SSE
-// registers; av and the B strip fit in the rest of the baseline x86-64
-// file) — C is touched once per tile, not once per p, and every loaded B
-// value feeds 4 rows. Each acc[r][jj] still sums its products in
-// ascending-p order — one accumulator per output element — so tiling
-// never reassociates a sum and results match the reference bit-for-bit.
-
-constexpr std::size_t kRowsPerTile = 4;
-constexpr std::size_t kColsPerTile = 4;
-
-// One register tile over the depth range [p0, p1). When p0 > 0 the tile
-// resumes the partial sums parked in C, continuing each element's
-// ascending-p chain exactly where the previous depth block left it (the
-// parked partial is a plain double, so the chain is bit-identical to an
-// unblocked pass).
-template <std::size_t Rows, std::size_t Cols>
-void gemm_tile(const double* VN2_RESTRICT a, const double* VN2_RESTRICT b,
-               double* VN2_RESTRICT c, std::size_t k, std::size_t m,
-               std::size_t i, std::size_t j, std::size_t p0, std::size_t p1) {
-  const double* arow[Rows];
-  for (std::size_t r = 0; r < Rows; ++r) arow[r] = a + (i + r) * k;
-  double acc[Rows][Cols] = {};
-  if (p0 > 0)
-    for (std::size_t r = 0; r < Rows; ++r)
-      for (std::size_t jj = 0; jj < Cols; ++jj)
-        acc[r][jj] = c[(i + r) * m + j + jj];
-  const double* bpos = b + p0 * m + j;
-  for (std::size_t p = p0; p < p1; ++p, bpos += m) {
-    double av[Rows];
-    for (std::size_t r = 0; r < Rows; ++r) av[r] = arow[r][p];
-    for (std::size_t jj = 0; jj < Cols; ++jj) {
-      const double bv = bpos[jj];
-      for (std::size_t r = 0; r < Rows; ++r) acc[r][jj] += av[r] * bv;
-    }
-  }
-  for (std::size_t r = 0; r < Rows; ++r) {
-    double* crow = c + (i + r) * m + j;
-    for (std::size_t jj = 0; jj < Cols; ++jj) crow[jj] = acc[r][jj];
-  }
-}
-
-// Column-remainder tile: runtime width < kColsPerTile, same accumulation
-// order as the full tile.
-template <std::size_t Rows>
-void gemm_tile_edge(const double* VN2_RESTRICT a, const double* VN2_RESTRICT b,
-                    double* VN2_RESTRICT c, std::size_t k, std::size_t m,
-                    std::size_t i, std::size_t j, std::size_t width,
-                    std::size_t p0, std::size_t p1) {
-  const double* arow[Rows];
-  for (std::size_t r = 0; r < Rows; ++r) arow[r] = a + (i + r) * k;
-  double acc[Rows][kColsPerTile] = {};
-  if (p0 > 0)
-    for (std::size_t r = 0; r < Rows; ++r)
-      for (std::size_t jj = 0; jj < width; ++jj)
-        acc[r][jj] = c[(i + r) * m + j + jj];
-  const double* bpos = b + p0 * m + j;
-  for (std::size_t p = p0; p < p1; ++p, bpos += m) {
-    double av[Rows];
-    for (std::size_t r = 0; r < Rows; ++r) av[r] = arow[r][p];
-    for (std::size_t jj = 0; jj < width; ++jj) {
-      const double bv = bpos[jj];
-      for (std::size_t r = 0; r < Rows; ++r) acc[r][jj] += av[r] * bv;
-    }
-  }
-  for (std::size_t r = 0; r < Rows; ++r) {
-    double* crow = c + (i + r) * m + j;
-    for (std::size_t jj = 0; jj < width; ++jj) crow[jj] = acc[r][jj];
-  }
-}
-
-void gemm_rows_blocked(const double* VN2_RESTRICT a,
-                       const double* VN2_RESTRICT b, double* VN2_RESTRICT c,
-                       std::size_t k, std::size_t m, std::size_t row_begin,
-                       std::size_t row_end) {
-  // Depth blocking: the 4-row A panel for one depth block (4 × 512 × 8 B
-  // = 16 KiB) stays L1-resident while every column strip sweeps it, so a
-  // long inner dimension is not re-streamed from L2 once per strip.
-  constexpr std::size_t kDepthPerBlock = 512;
-  const std::size_t jfull = m - m % kColsPerTile;
-  std::size_t i = row_begin;
-  for (; i + kRowsPerTile <= row_end; i += kRowsPerTile) {
-    std::size_t p0 = 0;
-    do {  // One pass even when k == 0: the first block writes C's zeros.
-      const std::size_t p1 = std::min(p0 + kDepthPerBlock, k);
-      std::size_t j = 0;
-      for (; j < jfull; j += kColsPerTile)
-        gemm_tile<kRowsPerTile, kColsPerTile>(a, b, c, k, m, i, j, p0, p1);
-      if (j < m)
-        gemm_tile_edge<kRowsPerTile>(a, b, c, k, m, i, j, m - j, p0, p1);
-      p0 = p1;
-    } while (p0 < k);
-  }
-  for (; i < row_end; ++i) {
-    std::size_t p0 = 0;
-    do {
-      const std::size_t p1 = std::min(p0 + kDepthPerBlock, k);
-      std::size_t j = 0;
-      for (; j < jfull; j += kColsPerTile)
-        gemm_tile<1, kColsPerTile>(a, b, c, k, m, i, j, p0, p1);
-      if (j < m) gemm_tile_edge<1>(a, b, c, k, m, i, j, m - j, p0, p1);
-      p0 = p1;
-    } while (p0 < k);
-  }
-}
-
-void gemv_blocked(const double* VN2_RESTRICT a, const double* VN2_RESTRICT x,
-                  double* VN2_RESTRICT y, std::size_t rows, std::size_t cols) {
-  std::size_t i = 0;
-  for (; i + kRowsPerTile <= rows; i += kRowsPerTile) {
-    const double* r0 = a + (i + 0) * cols;
-    const double* r1 = a + (i + 1) * cols;
-    const double* r2 = a + (i + 2) * cols;
-    const double* r3 = a + (i + 3) * cols;
-    double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) {
-      const double xv = x[j];
-      acc0 += r0[j] * xv;
-      acc1 += r1[j] * xv;
-      acc2 += r2[j] * xv;
-      acc3 += r3[j] * xv;
-    }
-    y[i + 0] = acc0;
-    y[i + 1] = acc1;
-    y[i + 2] = acc2;
-    y[i + 3] = acc3;
-  }
-  for (; i < rows; ++i) {
-    const double* arow = a + i * cols;
-    double acc = 0.0;
-    for (std::size_t j = 0; j < cols; ++j) acc += arow[j] * x[j];
-    y[i] = acc;
-  }
-}
-
-// Panel-of-4 SYRK: four A-rows rank-1-update the resident upper triangle
-// per pass. Per element the updates still land in ascending-r order
-// (r, r+1, r+2, r+3 as chained adds), matching the reference dot loops.
-void syrk_upper_blocked(const double* VN2_RESTRICT a, std::size_t rows,
-                        std::size_t k, double* VN2_RESTRICT g) {
-  for (std::size_t i = 0; i < k; ++i)
-    for (std::size_t j = i; j < k; ++j) g[i * k + j] = 0.0;
-  std::size_t r = 0;
-  for (; r + kRowsPerTile <= rows; r += kRowsPerTile) {
-    const double* p0 = a + (r + 0) * k;
-    const double* p1 = a + (r + 1) * k;
-    const double* p2 = a + (r + 2) * k;
-    const double* p3 = a + (r + 3) * k;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double v0 = p0[i], v1 = p1[i], v2 = p2[i], v3 = p3[i];
-      double* grow = g + i * k;
-      for (std::size_t j = i; j < k; ++j) {
-        double acc = grow[j];
-        acc += v0 * p0[j];
-        acc += v1 * p1[j];
-        acc += v2 * p2[j];
-        acc += v3 * p3[j];
-        grow[j] = acc;
-      }
-    }
-  }
-  for (; r < rows; ++r) {
-    const double* prow = a + r * k;
-    for (std::size_t i = 0; i < k; ++i) {
-      const double vi = prow[i];
-      double* grow = g + i * k;
-      for (std::size_t j = i; j < k; ++j) grow[j] += vi * prow[j];
-    }
-  }
-}
-
-#endif  // VN2_BLOCKED_KERNELS
-
 void mirror_lower(double* g, std::size_t k) {
   for (std::size_t i = 1; i < k; ++i)
     for (std::size_t j = 0; j < i; ++j) g[i * k + j] = g[j * k + i];
@@ -260,13 +81,11 @@ void mirror_lower(double* g, std::size_t k) {
 }  // namespace
 
 void set_backend(Backend backend) noexcept {
-  // Fallback chain simd → blocked → reference: never store a backend this
-  // build or host cannot run, so the dispatch below needs no re-checks.
-  // (The VN2_CPU_FEATURES mask is consulted here, at selection time; it
-  // does not retroactively demote an already-selected backend.)
+  // Fallback chain simd → reference: never store a backend this build or
+  // host cannot run, so the dispatch below needs no re-checks. (The
+  // VN2_CPU_FEATURES mask is consulted here, at selection time; it does
+  // not retroactively demote an already-selected backend.)
   if (backend == Backend::kSimd && !simd_available())
-    backend = Backend::kBlocked;
-  if (backend == Backend::kBlocked && !kBlockedCompiled)
     backend = Backend::kReference;
   g_backend.store(backend, std::memory_order_relaxed);
 }
@@ -275,8 +94,6 @@ Backend backend() noexcept {
   return g_backend.load(std::memory_order_relaxed);
 }
 
-bool blocked_kernels_compiled() noexcept { return kBlockedCompiled; }
-
 bool simd_kernels_compiled() noexcept { return kSimdCompiled; }
 
 bool simd_available() noexcept {
@@ -284,24 +101,12 @@ bool simd_available() noexcept {
 }
 
 const char* backend_name(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kBlocked:
-      return "blocked";
-    case Backend::kSimd:
-      return "simd";
-    case Backend::kReference:
-      break;
-  }
-  return "reference";
+  return backend == Backend::kSimd ? "simd" : "reference";
 }
 
 std::optional<Backend> parse_backend(std::string_view name) {
-  if (name == "auto") {
-    if (simd_available()) return Backend::kSimd;
-    return kBlockedCompiled ? Backend::kBlocked : Backend::kReference;
-  }
+  if (name == "auto") return fastest_available();
   if (name == "reference") return Backend::kReference;
-  if (name == "blocked") return Backend::kBlocked;
   if (name == "simd") return Backend::kSimd;
   return std::nullopt;
 }
@@ -316,12 +121,6 @@ void gemm_rows(const double* a, const double* b, double* c, std::size_t k,
     return;
   }
 #endif
-#if VN2_BLOCKED_KERNELS
-  if (backend() == Backend::kBlocked) {
-    gemm_rows_blocked(a, b, c, k, m, row_begin, row_end);
-    return;
-  }
-#endif
   gemm_rows_reference(a, b, c, k, m, row_begin, row_end);
 }
 
@@ -333,12 +132,6 @@ void gemv(const double* a, const double* x, double* y, std::size_t rows,
     return;
   }
 #endif
-#if VN2_BLOCKED_KERNELS
-  if (backend() == Backend::kBlocked) {
-    gemv_blocked(a, x, y, rows, cols);
-    return;
-  }
-#endif
   gemv_reference(a, x, y, rows, cols);
 }
 
@@ -346,13 +139,6 @@ void syrk_upper(const double* a, std::size_t rows, std::size_t k, double* g) {
 #if VN2_SIMD_COMPILED
   if (backend() == Backend::kSimd) {
     simd::syrk_upper(a, rows, k, g);
-    mirror_lower(g, k);
-    return;
-  }
-#endif
-#if VN2_BLOCKED_KERNELS
-  if (backend() == Backend::kBlocked) {
-    syrk_upper_blocked(a, rows, k, g);
     mirror_lower(g, k);
     return;
   }

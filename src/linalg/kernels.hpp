@@ -6,36 +6,29 @@
 // Gram, dot, axpy). Two implementations sit behind one dispatch point:
 //
 //   * reference — the straightforward scalar loops the repo started with,
-//     kept as the semantics oracle for parity testing.
-//   * blocked   — cache-blocked, vectorization-friendly kernels: 4-row ×
-//     16-column register tiles for GEMM/GEMV and 4-row panels for SYRK,
-//     written in plain C++ (restrict-qualified pointers, per-tile inner
-//     loops the autovectorizer can lift; no intrinsics).
+//     kept as the semantics oracle for parity testing and as the fallback
+//     on hosts without SIMD.
 //   * simd      — explicit AVX2+FMA (x86-64) / NEON (aarch64) kernels
-//     (kernels_simd.cpp). Compiled for a fixed instruction set, so whether
-//     it may RUN is a runtime property: set_backend(kSimd) only engages it
-//     when cpu_features.hpp reports the host supports it, and falls back
-//     to the best scalar backend otherwise (observable via backend()).
+//     (kernels_simd.cpp), compiled in whenever the architecture and
+//     compiler support them. Compiled for a fixed instruction set, so
+//     whether it may RUN is a runtime property: set_backend(kSimd) only
+//     engages it when cpu_features.hpp reports the host supports it, and
+//     falls back to reference otherwise (observable via backend()).
 //
-// Reproducibility contract: every backend accumulates each output element
-// in the SAME index order (ascending inner index, one accumulator per
-// element — blocking/tiling only regroups independent elements), so
-// results never depend on tile boundaries or on how the caller partitions
-// rows across threads — each backend is bit-identical run-to-run and
-// across thread counts. ACROSS backends agreement is tolerance-based
-// (≤1e-12 relative, tests/linalg_backend_test.cpp): the simd backend uses
-// fused multiply-adds throughout and lane-wise partial sums for its
-// reductions (dot/gemv), which round differently from the scalar chains.
-// reference and blocked share unfused arithmetic and stay within 1e-13 of
-// each other; dot/axpy are bit-exact between those two by construction.
+// Reproducibility contract: each backend accumulates each output element
+// in one fixed index order, so results never depend on tile boundaries or
+// on how the caller partitions rows across threads — each backend is
+// bit-identical run-to-run and across thread counts. ACROSS backends
+// agreement is tolerance-based: simd stays within 1e-12 relative of
+// reference (tests/linalg_backend_test.cpp), because it uses fused
+// multiply-adds throughout and lane-wise partial sums for its reductions
+// (dot/gemv), which round differently from the scalar chains.
 //
-// The backend is process-global (an atomic, like core::set_num_threads):
-// `set_backend()` from code, `--linalg-backend
-// {auto,reference,blocked,simd}` from the CLI ("auto" resolves to the
-// fastest backend the build AND the host CPU support: simd, else blocked,
-// else reference). Building with -DVN2_BLOCKED_KERNELS=OFF or
-// -DVN2_SIMD_KERNELS=OFF compiles the respective bodies out entirely;
-// requesting them then falls back down the same chain.
+// The backend is process-global (an atomic, like core::set_num_threads).
+// The process starts on the fastest backend the host CPU supports (simd
+// when simd_available(), else reference); `set_backend()` from code and
+// `--linalg-backend {auto,reference,simd}` from the CLI override it
+// ("auto" names that same default).
 #pragma once
 
 #include <cstddef>
@@ -47,27 +40,24 @@ namespace vn2::linalg {
 /// Kernel implementation families.
 enum class Backend {
   kReference,
-  kBlocked,
   kSimd,
 };
 
-/// Selects the process-global backend. Requesting a backend the build
-/// compiled out (-DVN2_BLOCKED_KERNELS=OFF / -DVN2_SIMD_KERNELS=OFF) or —
-/// for kSimd — one the host CPU cannot execute silently resolves down the
-/// chain simd → blocked → reference (backend() reports what actually
-/// runs; callers that must fail loudly, like the CLI's forced
-/// --linalg-backend simd, check simd_available() first). Call from the
-/// main thread between parallel regions, like core::set_num_threads.
+/// Selects the process-global backend. Requesting kSimd where it cannot
+/// run (no simd kernels for this architecture/compiler, or a host CPU
+/// without the instruction set) silently resolves to kReference
+/// (backend() reports what actually runs; callers that must fail loudly,
+/// like the CLI's forced --linalg-backend simd, check simd_available()
+/// first). Call from the main thread between parallel regions, like
+/// core::set_num_threads.
 void set_backend(Backend backend) noexcept;
 
-/// The backend every kernel currently dispatches to.
+/// The backend every kernel currently dispatches to. Until the first
+/// set_backend() call this is the fastest available one (see "auto").
 [[nodiscard]] Backend backend() noexcept;
 
-/// True when the blocked kernels were compiled in (VN2_BLOCKED_KERNELS).
-[[nodiscard]] bool blocked_kernels_compiled() noexcept;
-
-/// True when the simd kernels were compiled in (VN2_SIMD_KERNELS on a
-/// supported compiler/architecture).
+/// True when the simd kernels were compiled in (a supported
+/// compiler/architecture: GCC or Clang on x86-64 or aarch64).
 [[nodiscard]] bool simd_kernels_compiled() noexcept;
 
 /// True when the simd backend can actually run here: compiled in AND the
@@ -75,14 +65,13 @@ void set_backend(Backend backend) noexcept;
 /// after the VN2_CPU_FEATURES test mask).
 [[nodiscard]] bool simd_available() noexcept;
 
-/// "reference" / "blocked" / "simd".
+/// "reference" / "simd".
 [[nodiscard]] const char* backend_name(Backend backend) noexcept;
 
-/// Parses a --linalg-backend value: "auto" (the fastest available:
-/// simd when compiled in and runtime-supported, else blocked when
-/// compiled in, else reference), "reference", "blocked", or "simd".
-/// Returns nullopt on anything else. "auto" never names a backend this
-/// build/host cannot run.
+/// Parses a --linalg-backend value: "auto" (the fastest available: simd
+/// when simd_available(), else reference — the process default),
+/// "reference", or "simd". Returns nullopt on anything else. "auto" never
+/// names a backend this build/host cannot run.
 [[nodiscard]] std::optional<Backend> parse_backend(std::string_view name);
 
 namespace kernels {
@@ -104,14 +93,14 @@ void gemv(const double* a, const double* x, double* y, std::size_t rows,
 /// G is overwritten.
 void syrk_upper(const double* a, std::size_t rows, std::size_t k, double* g);
 
-/// Euclidean dot product over n entries. reference and blocked share one
-/// scalar chain (bit-exact between those two by construction); simd uses
-/// lane-wise partial sums (deterministic, tolerance parity vs scalar).
+/// Euclidean dot product over n entries. reference is one scalar chain;
+/// simd uses lane-wise partial sums (deterministic, tolerance parity vs
+/// reference).
 [[nodiscard]] double dot(const double* a, const double* b,
                          std::size_t n) noexcept;
 
-/// y += alpha·x over n entries. reference and blocked share one scalar
-/// loop; simd fuses each element's multiply-add.
+/// y += alpha·x over n entries. reference is one scalar loop; simd fuses
+/// each element's multiply-add.
 void axpy(double alpha, const double* x, double* y, std::size_t n) noexcept;
 
 }  // namespace kernels

@@ -78,10 +78,10 @@ inline double vsum(vreg v) {
 
 // Tile geometry. 4 A-rows × 2 vector registers of C columns per register
 // tile (8 accumulator registers + one broadcast + two B strips stays well
-// inside the 16-register AVX2/NEON file), with the same depth blocking as
-// the blocked backend: partial sums park in C between depth blocks, which
-// extends each element's fused chain exactly (the parked value is the
-// accumulator), so blocking never reassociates a sum.
+// inside the 16-register AVX2/NEON file), with depth blocking: partial
+// sums park in C between depth blocks, which extends each element's fused
+// chain exactly (the parked value is the accumulator), so blocking never
+// reassociates a sum.
 constexpr std::size_t kRowsPerTile = 4;
 constexpr std::size_t kColsPerTile = 2 * kLanes;
 constexpr std::size_t kDepthPerBlock = 512;
@@ -271,7 +271,7 @@ VN2_SIMD_TARGET void gemm_rows(const double* a, const double* b, double* c,
                                std::size_t k, std::size_t m,
                                std::size_t row_begin,
                                std::size_t row_end) noexcept {
-  // Same depth blocking as the blocked backend: the row block's A panel
+  // Depth blocking: the row block's A panel (4 × 512 × 8 B = 16 KiB)
   // stays L1-resident while every column strip sweeps one depth block.
   // The do-while writes C's zeros even when k == 0.
   std::size_t i = row_begin;

@@ -1,11 +1,11 @@
 // Internal declarations for the SIMD kernel backend (kernels_simd.cpp).
 //
 // Not part of the public linalg API: callers go through the dispatch in
-// kernels.hpp (`set_backend(Backend::kSimd)` / `--linalg-backend simd`).
-// This header exists so kernels.cpp can dispatch into the SIMD TU and so
-// both TUs agree — via VN2_SIMD_COMPILED — on whether the SIMD bodies
-// exist in this build (the -DVN2_SIMD_KERNELS CMake gate AND a supported
-// architecture/compiler).
+// kernels.hpp (the process default wherever the CPU supports it, or
+// `set_backend(Backend::kSimd)` / `--linalg-backend simd`). This header
+// exists so kernels.cpp can dispatch into the SIMD TU and so both TUs
+// agree — via VN2_SIMD_COMPILED — on whether the SIMD bodies exist in
+// this build, which depends only on the architecture and compiler.
 //
 // Determinism contract of the SIMD kernels (see DESIGN.md "Linalg kernel
 // backends" for the full policy):
@@ -25,14 +25,10 @@
 
 #include <cstddef>
 
-#ifndef VN2_SIMD_KERNELS
-#define VN2_SIMD_KERNELS 1
-#endif
-
-// The SIMD bodies exist when the CMake gate is on AND the target is one
-// the kernels are written for: AVX2+FMA on x86-64 or NEON on aarch64,
-// under a GNU-flavoured compiler (target attributes + intrinsics).
-#if VN2_SIMD_KERNELS && (defined(__GNUC__) || defined(__clang__)) && \
+// The SIMD bodies exist when the target is one the kernels are written
+// for: AVX2+FMA on x86-64 or NEON on aarch64, under a GNU-flavoured
+// compiler (target attributes + intrinsics).
+#if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__aarch64__))
 #define VN2_SIMD_COMPILED 1
 #else

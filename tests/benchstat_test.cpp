@@ -337,6 +337,17 @@ TEST(Gate, RenderTextSummarizesVerdict) {
   EXPECT_NE(markdown.find("| bench |"), std::string::npos);
 }
 
+TEST(Gate, RenderTextSaysBetterForImprovement) {
+  // Median 2.01 -> 1.01 on a lower-is-better metric: 49.8% better.
+  const Record base = make_run("bench", {2.0, 2.01, 2.02});
+  const Record run = make_run("bench", {1.0, 1.01, 1.02});
+  const GateReport report = compare(as_baseline(base), {run}, GateOptions{});
+  const std::string text = vn2::benchstat::render_text(report);
+  EXPECT_NE(text.find("improved"), std::string::npos);
+  EXPECT_NE(text.find("(49.8% better, gated)"), std::string::npos) << text;
+  EXPECT_EQ(text.find("worse"), std::string::npos) << text;
+}
+
 // ---------------------------------------------------------------------------
 // The baseline ratchet.
 

@@ -75,6 +75,16 @@ if "$VN2" stats --trace "$WORK/trace.csv" --linalg-backend turbo \
   echo "expected usage error for unknown linalg backend" >&2
   exit 1
 fi
+# A retired backend name is unknown like any other: exit 2, with the valid
+# names in the error.
+STATUS=0
+"$VN2" stats --trace "$WORK/trace.csv" --linalg-backend blocked \
+    2>"$WORK/backend_err.txt" || STATUS=$?
+if [ "$STATUS" -ne 2 ]; then
+  echo "expected exit 2 for a retired linalg backend, got $STATUS" >&2
+  exit 1
+fi
+grep -q "auto, reference, or simd" "$WORK/backend_err.txt"
 # Forcing the simd backend on unsupported hardware is a clean usage error,
 # not a crash. VN2_CPU_FEATURES=scalar masks cpuid, so this holds on any
 # build and any host (including ones where simd would otherwise engage).

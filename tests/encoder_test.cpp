@@ -1,10 +1,8 @@
-// Covers both state transforms: the min–max StateScaler utility and the
-// signed-deviation StateEncoder the model pipeline uses.
-#include "core/scaler.hpp"
+// Covers the signed-deviation StateEncoder the model pipeline uses.
+#include "core/encoder.hpp"
 
 #include <gtest/gtest.h>
 
-#include "core/encoder.hpp"
 #include "linalg/random.hpp"
 
 namespace vn2::core {
@@ -17,71 +15,6 @@ Matrix random_states(std::size_t n, std::uint64_t seed) {
   return linalg::random_uniform_matrix(n, metrics::kMetricCount, seed, -5.0,
                                        10.0);
 }
-
-TEST(StateScaler, RejectsBadInput) {
-  EXPECT_THROW(StateScaler::fit(Matrix{}), std::invalid_argument);
-  EXPECT_THROW(StateScaler::fit(Matrix(3, 10)), std::invalid_argument);
-}
-
-TEST(StateScaler, TransformsToUnitInterval) {
-  Matrix states = random_states(50, 1);
-  StateScaler scaler = StateScaler::fit(states);
-  Matrix scaled = scaler.transform(states);
-  for (std::size_t i = 0; i < scaled.size(); ++i) {
-    EXPECT_GE(scaled.data()[i], 0.0);
-    EXPECT_LE(scaled.data()[i], 1.0);
-  }
-}
-
-TEST(StateScaler, RoundTripsWithinRange) {
-  Matrix states = random_states(30, 2);
-  StateScaler scaler = StateScaler::fit(states);
-  const Vector raw = states.row_vector(7);
-  const Vector back = scaler.inverse(scaler.transform(raw));
-  for (std::size_t m = 0; m < raw.size(); ++m)
-    EXPECT_NEAR(back[m], raw[m], 1e-9);
-}
-
-TEST(StateScaler, ClampsOutOfRangeInputs) {
-  Matrix states(4, metrics::kMetricCount, 0.0);
-  for (std::size_t i = 0; i < 4; ++i) states(i, 0) = static_cast<double>(i);
-  StateScaler scaler = StateScaler::fit(states);
-  Vector extreme(metrics::kMetricCount, 0.0);
-  extreme[0] = 100.0;
-  EXPECT_DOUBLE_EQ(scaler.transform(extreme)[0], 1.0);
-  extreme[0] = -100.0;
-  EXPECT_DOUBLE_EQ(scaler.transform(extreme)[0], 0.0);
-}
-
-TEST(StateScaler, ConstantColumnMapsToHalf) {
-  Matrix states(5, metrics::kMetricCount, 3.3);
-  StateScaler scaler = StateScaler::fit(states);
-  EXPECT_DOUBLE_EQ(scaler.transform(states.row_vector(0))[10], 0.5);
-}
-
-TEST(StateScaler, SerializationRoundTrip) {
-  StateScaler scaler = StateScaler::fit(random_states(20, 3));
-  StateScaler loaded = StateScaler::from_matrix(scaler.to_matrix());
-  EXPECT_EQ(scaler, loaded);
-  EXPECT_THROW(StateScaler::from_matrix(Matrix(1, 3)), std::invalid_argument);
-}
-
-TEST(StateScaler, CenterOnZeroSigns) {
-  Matrix states(2, metrics::kMetricCount, 0.0);
-  states(0, 0) = -4.0;
-  states(1, 0) = 4.0;
-  StateScaler scaler = StateScaler::fit(states);
-  Vector up(metrics::kMetricCount, 0.0);
-  up[0] = 4.0;
-  Vector down(metrics::kMetricCount, 0.0);
-  down[0] = -4.0;
-  EXPECT_GT(scaler.center_on_zero(scaler.transform(up))[0], 0.9);
-  EXPECT_LT(scaler.center_on_zero(scaler.transform(down))[0], -0.9);
-  Vector still(metrics::kMetricCount, 0.0);
-  EXPECT_NEAR(scaler.center_on_zero(scaler.transform(still))[0], 0.0, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
 
 TEST(StateEncoder, RejectsBadInput) {
   EXPECT_THROW(StateEncoder::fit(Matrix{}), std::invalid_argument);

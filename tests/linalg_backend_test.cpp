@@ -1,15 +1,13 @@
 // Parity and determinism tests for the pluggable kernel backends
 // (linalg/kernels.hpp). The reference backend is the semantics oracle: the
-// other backends must agree on every shape the pipeline produces —
+// simd backend must agree with it on every shape the pipeline produces —
 // including empty, single-row/column, and sizes that don't divide the tile
-// geometry — and every backend must be bit-identical across thread counts
-// and run-to-run. Tolerances per the parity policy (DESIGN.md): blocked is
-// held to ≤1e-13 vs reference (same unfused arithmetic, dot/axpy bit-exact
-// because they share one implementation); simd is held to ≤1e-12 (fused
-// multiply-adds and lane-wise reductions round differently). The simd
-// selection logic — runtime cpuid, the VN2_CPU_FEATURES=scalar mask, and
-// the guarantee that "auto" never names an unsupported backend — is
-// covered at the bottom.
+// geometry — to ≤1e-12 relative (the parity policy in DESIGN.md: fused
+// multiply-adds and lane-wise reductions round differently), and every
+// backend must be bit-identical across thread counts and run-to-run. The
+// selection logic — the process default, runtime cpuid, the
+// VN2_CPU_FEATURES=scalar mask, and the guarantee that "auto" never names
+// an unsupported backend — is covered at the top and bottom.
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -26,20 +24,14 @@
 namespace vn2::linalg {
 namespace {
 
-constexpr double kRelTol = 1e-13;
-constexpr double kSimdRelTol = 1e-12;
+/// simd-vs-reference agreement bound (see header comment).
+constexpr double kRelTol = 1e-12;
 
-/// Non-reference backends this build + host can actually run.
-std::vector<Backend> accelerated_backends() {
-  std::vector<Backend> backends;
-  if (blocked_kernels_compiled()) backends.push_back(Backend::kBlocked);
+/// Every backend this build + host can actually run.
+std::vector<Backend> runnable_backends() {
+  std::vector<Backend> backends = {Backend::kReference};
   if (simd_available()) backends.push_back(Backend::kSimd);
   return backends;
-}
-
-/// Agreement bound vs the reference backend (see header comment).
-double parity_tolerance(Backend be) {
-  return be == Backend::kSimd ? kSimdRelTol : kRelTol;
 }
 
 /// Applies the VN2_CPU_FEATURES=scalar cpuid mask for one scope.
@@ -102,15 +94,21 @@ Matrix signed_random(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   return random_uniform_matrix(rows, cols, seed, -1.5, 2.0);
 }
 
+// Each TEST runs in its own process under ctest (gtest_discover_tests),
+// and every other case restores the backend it found, so this sees the
+// default chosen at start-up: the fastest backend the CPU supports — also
+// under VN2_CPU_FEATURES=scalar, where that is reference.
+TEST(LinalgBackend, DefaultIsFastestAvailable) {
+  EXPECT_EQ(backend(), simd_available() ? Backend::kSimd : Backend::kReference);
+}
+
 TEST(LinalgBackend, ParseAndNames) {
   EXPECT_EQ(parse_backend("reference"), Backend::kReference);
-  EXPECT_EQ(parse_backend("blocked"), Backend::kBlocked);
   EXPECT_EQ(parse_backend("simd"), Backend::kSimd);
   ASSERT_TRUE(parse_backend("auto").has_value());
   EXPECT_FALSE(parse_backend("fast").has_value());
   EXPECT_FALSE(parse_backend("").has_value());
   EXPECT_STREQ(backend_name(Backend::kReference), "reference");
-  EXPECT_STREQ(backend_name(Backend::kBlocked), "blocked");
   EXPECT_STREQ(backend_name(Backend::kSimd), "simd");
 }
 
@@ -118,21 +116,9 @@ TEST(LinalgBackend, SetBackendRespectsCompileGate) {
   GlobalStateGuard guard;
   set_backend(Backend::kReference);
   EXPECT_EQ(backend(), Backend::kReference);
-  set_backend(Backend::kBlocked);
-  if (blocked_kernels_compiled()) {
-    EXPECT_EQ(backend(), Backend::kBlocked);
-  } else {
-    // Reference-only build: requesting blocked silently falls back.
-    EXPECT_EQ(backend(), Backend::kReference);
-    EXPECT_EQ(parse_backend("auto"), Backend::kReference);
-  }
   set_backend(Backend::kSimd);
-  if (simd_available()) {
-    EXPECT_EQ(backend(), Backend::kSimd);
-  } else {
-    // Compiled out or unsupported CPU: falls down the chain.
-    EXPECT_NE(backend(), Backend::kSimd);
-  }
+  // Compiled out or unsupported CPU: falls back to reference.
+  EXPECT_EQ(backend(), simd_available() ? Backend::kSimd : Backend::kReference);
 }
 
 // "auto" must resolve to a backend that actually engages: setting it must
@@ -143,87 +129,61 @@ TEST(LinalgBackend, AutoNeverSelectsUnsupportedBackend) {
   ASSERT_TRUE(resolved.has_value());
   set_backend(*resolved);
   EXPECT_EQ(backend(), *resolved);
-  if (simd_available())
-    EXPECT_EQ(*resolved, Backend::kSimd);
-  else
-    EXPECT_NE(*resolved, Backend::kSimd);
+  EXPECT_EQ(*resolved, simd_available() ? Backend::kSimd : Backend::kReference);
 }
 
 TEST(LinalgBackend, GemmParityAcrossShapes) {
+  if (!simd_available()) GTEST_SKIP() << "simd backend unavailable here";
   GlobalStateGuard guard;
   core::set_num_threads(1);
-  for (Backend be : accelerated_backends()) {
-    std::uint64_t seed = 0xb10c5eed01ULL;
-    for (const GemmShape& s : gemm_shapes()) {
-      const Matrix a = signed_random(s.n, s.k, seed++);
-      const Matrix b = signed_random(s.k, s.m, seed++);
-      set_backend(Backend::kReference);
-      const Matrix expected = matmul(a, b);
-      set_backend(be);
-      const Matrix actual = matmul(a, b);
-      SCOPED_TRACE(::testing::Message() << backend_name(be) << " shape "
-                                        << s.n << "x" << s.k << "x" << s.m);
-      expect_close(expected, actual, parity_tolerance(be));
-    }
+  std::uint64_t seed = 0xb10c5eed01ULL;
+  for (const GemmShape& s : gemm_shapes()) {
+    const Matrix a = signed_random(s.n, s.k, seed++);
+    const Matrix b = signed_random(s.k, s.m, seed++);
+    set_backend(Backend::kReference);
+    const Matrix expected = matmul(a, b);
+    set_backend(Backend::kSimd);
+    const Matrix actual = matmul(a, b);
+    SCOPED_TRACE(::testing::Message() << s.n << "x" << s.k << "x" << s.m);
+    expect_close(expected, actual);
   }
 }
 
 TEST(LinalgBackend, GemvParityAcrossShapes) {
+  if (!simd_available()) GTEST_SKIP() << "simd backend unavailable here";
   GlobalStateGuard guard;
-  for (Backend be : accelerated_backends()) {
-    std::uint64_t seed = 0xb10c5eed02ULL;
-    for (const GemmShape& s : gemm_shapes()) {
-      const Matrix a = signed_random(s.n, s.k, seed++);
-      const Vector x = random_uniform_vector(s.k, seed++, -2.0, 2.0);
-      set_backend(Backend::kReference);
-      const Vector expected = matvec(a, x);
-      set_backend(be);
-      const Vector actual = matvec(a, x);
-      SCOPED_TRACE(::testing::Message()
-                   << backend_name(be) << " shape " << s.n << "x" << s.k);
-      expect_close(expected, actual, parity_tolerance(be));
-    }
+  std::uint64_t seed = 0xb10c5eed02ULL;
+  for (const GemmShape& s : gemm_shapes()) {
+    const Matrix a = signed_random(s.n, s.k, seed++);
+    const Vector x = random_uniform_vector(s.k, seed++, -2.0, 2.0);
+    set_backend(Backend::kReference);
+    const Vector expected = matvec(a, x);
+    set_backend(Backend::kSimd);
+    const Vector actual = matvec(a, x);
+    SCOPED_TRACE(::testing::Message() << "shape " << s.n << "x" << s.k);
+    expect_close(expected, actual);
   }
 }
 
 TEST(LinalgBackend, SyrkParityAcrossShapes) {
+  if (!simd_available()) GTEST_SKIP() << "simd backend unavailable here";
   GlobalStateGuard guard;
-  for (Backend be : accelerated_backends()) {
-    std::uint64_t seed = 0xb10c5eed03ULL;
-    for (const GemmShape& s : gemm_shapes()) {
-      const std::size_t rows = s.n, k = s.m;
-      const Matrix a = signed_random(rows, k, seed++);
-      Matrix expected(k, k), actual(k, k);
-      set_backend(Backend::kReference);
-      kernels::syrk_upper(a.data(), rows, k, expected.data());
-      set_backend(be);
-      kernels::syrk_upper(a.data(), rows, k, actual.data());
-      SCOPED_TRACE(::testing::Message()
-                   << backend_name(be) << " shape " << rows << "x" << k);
-      expect_close(expected, actual, parity_tolerance(be));
-      // The mirror must make G exactly symmetric in every backend.
-      for (std::size_t i = 0; i < k; ++i)
-        for (std::size_t j = 0; j < i; ++j)
-          EXPECT_EQ(actual(i, j), actual(j, i));
-    }
+  std::uint64_t seed = 0xb10c5eed03ULL;
+  for (const GemmShape& s : gemm_shapes()) {
+    const std::size_t rows = s.n, k = s.m;
+    const Matrix a = signed_random(rows, k, seed++);
+    Matrix expected(k, k), actual(k, k);
+    set_backend(Backend::kReference);
+    kernels::syrk_upper(a.data(), rows, k, expected.data());
+    set_backend(Backend::kSimd);
+    kernels::syrk_upper(a.data(), rows, k, actual.data());
+    SCOPED_TRACE(::testing::Message() << "shape " << rows << "x" << k);
+    expect_close(expected, actual);
+    // The mirror must make G exactly symmetric in every backend.
+    for (std::size_t i = 0; i < k; ++i)
+      for (std::size_t j = 0; j < i; ++j)
+        EXPECT_EQ(actual(i, j), actual(j, i));
   }
-}
-
-TEST(LinalgBackend, DotAndAxpyAreExactAcrossScalarBackends) {
-  GlobalStateGuard guard;
-  const std::size_t n = 259;  // deliberately not a multiple of any tile
-  const Vector a = random_uniform_vector(n, 77, -3.0, 3.0);
-  const Vector b = random_uniform_vector(n, 78, -3.0, 3.0);
-  set_backend(Backend::kReference);
-  const double dot_ref = kernels::dot(a.data(), b.data(), n);
-  Vector y_ref(n, 0.5);
-  kernels::axpy(1.25, a.data(), y_ref.data(), n);
-  set_backend(Backend::kBlocked);
-  const double dot_blk = kernels::dot(a.data(), b.data(), n);
-  Vector y_blk(n, 0.5);
-  kernels::axpy(1.25, a.data(), y_blk.data(), n);
-  EXPECT_EQ(dot_ref, dot_blk);  // shared implementation: bit-exact
-  EXPECT_EQ(y_ref, y_blk);
 }
 
 // simd's dot uses lane-wise partial sums and axpy fuses the multiply-add,
@@ -245,8 +205,8 @@ TEST(LinalgBackend, DotAndAxpySimdParity) {
     SCOPED_TRACE(::testing::Message() << "n=" << n);
     const double scale = std::max({std::abs(dot_ref), std::abs(dot_simd),
                                    1.0});
-    EXPECT_NEAR(dot_ref, dot_simd, kSimdRelTol * scale);
-    expect_close(y_ref, y_simd, kSimdRelTol);
+    EXPECT_NEAR(dot_ref, dot_simd, kRelTol * scale);
+    expect_close(y_ref, y_simd, kRelTol);
     // Within the backend, repeating the call reproduces every bit.
     EXPECT_EQ(dot_simd, kernels::dot(a.data(), b.data(), n));
   }
@@ -258,10 +218,7 @@ TEST(LinalgBackend, MatmulBitIdenticalAcrossThreadCounts) {
   GlobalStateGuard guard;
   const Matrix a = signed_random(97, 43, 1001);
   const Matrix b = signed_random(43, 86, 1002);
-  for (Backend be :
-       {Backend::kReference, Backend::kBlocked, Backend::kSimd}) {
-    if (be == Backend::kBlocked && !blocked_kernels_compiled()) continue;
-    if (be == Backend::kSimd && !simd_available()) continue;
+  for (Backend be : runnable_backends()) {
     set_backend(be);
     core::set_num_threads(1);
     const Matrix serial = matmul(a, b);
@@ -306,10 +263,7 @@ TEST(LinalgBackend, MatmulPropagatesNanThroughZeroOperands) {
   // other codebases does — pin the IEEE behaviour for both operands.
   Matrix a = {{0.0, nan}, {1.0, 0.0}};
   Matrix b = {{1.0, 0.0}, {0.0, 1.0}};
-  for (Backend be :
-       {Backend::kReference, Backend::kBlocked, Backend::kSimd}) {
-    if (be == Backend::kBlocked && !blocked_kernels_compiled()) continue;
-    if (be == Backend::kSimd && !simd_available()) continue;
+  for (Backend be : runnable_backends()) {
     set_backend(be);
     const Matrix c = matmul(a, b);
     // Row 0 mixes NaN into every column: 0·1 + NaN·0 = NaN.
@@ -328,10 +282,7 @@ TEST(LinalgBackend, MatvecAndVecmatPropagateNonFinite) {
   const Matrix a = {{0.0, 1.0}, {2.0, 0.0}};
   const Vector x{nan, 3.0};
   const Vector w{inf, 0.0};
-  for (Backend be :
-       {Backend::kReference, Backend::kBlocked, Backend::kSimd}) {
-    if (be == Backend::kBlocked && !blocked_kernels_compiled()) continue;
-    if (be == Backend::kSimd && !simd_available()) continue;
+  for (Backend be : runnable_backends()) {
     set_backend(be);
     const Vector y = matvec(a, x);  // y[0] = 0·NaN + 1·3 = NaN
     EXPECT_TRUE(std::isnan(y[0])) << backend_name(be);
@@ -347,10 +298,7 @@ TEST(LinalgBackend, GemmRowRangeMatchesFullProduct) {
   const std::size_t n = 11, k = 7, m = 18;
   const Matrix a = signed_random(n, k, 2001);
   const Matrix b = signed_random(k, m, 2002);
-  for (Backend be :
-       {Backend::kReference, Backend::kBlocked, Backend::kSimd}) {
-    if (be == Backend::kBlocked && !blocked_kernels_compiled()) continue;
-    if (be == Backend::kSimd && !simd_available()) continue;
+  for (Backend be : runnable_backends()) {
     set_backend(be);
     Matrix full(n, m), pieces(n, m);
     kernels::gemm_rows(a.data(), b.data(), full.data(), k, m, 0, n);
@@ -365,8 +313,8 @@ TEST(LinalgBackend, GemmRowRangeMatchesFullProduct) {
 // ---------------------------------------------------------------------------
 // Runtime CPU dispatch. VN2_CPU_FEATURES=scalar masks cpuid (the
 // unsupported-hardware testing hook, re-evaluated on every call), which
-// must make the simd backend unavailable, force set_backend(kSimd) down
-// the fallback chain, and steer "auto" away from simd — on every build.
+// must make the simd backend unavailable, make set_backend(kSimd) fall
+// back to reference, and steer "auto" to reference — on every build.
 
 TEST(LinalgBackend, CpuMaskHidesSimdFeatures) {
   CpuMaskGuard mask;
@@ -384,12 +332,10 @@ TEST(LinalgBackend, ForcedSimdFallsBackUnderCpuMask) {
   GlobalStateGuard guard;
   CpuMaskGuard mask;
   set_backend(Backend::kSimd);
-  // Clean fallback, never an unsupported selection: blocked when compiled
-  // in, reference otherwise (loud failure is the CLI's job, which checks
-  // simd_available() before calling set_backend).
-  EXPECT_NE(backend(), Backend::kSimd);
-  EXPECT_EQ(backend(), blocked_kernels_compiled() ? Backend::kBlocked
-                                                  : Backend::kReference);
+  // Clean fallback to reference, never an unsupported selection (loud
+  // failure is the CLI's job, which checks simd_available() before calling
+  // set_backend).
+  EXPECT_EQ(backend(), Backend::kReference);
 }
 
 TEST(LinalgBackend, AutoUnderCpuMaskAvoidsSimd) {
@@ -397,7 +343,7 @@ TEST(LinalgBackend, AutoUnderCpuMaskAvoidsSimd) {
   CpuMaskGuard mask;
   const auto resolved = parse_backend("auto");
   ASSERT_TRUE(resolved.has_value());
-  EXPECT_NE(*resolved, Backend::kSimd);
+  EXPECT_EQ(*resolved, Backend::kReference);
   set_backend(*resolved);
   EXPECT_EQ(backend(), *resolved);
 }

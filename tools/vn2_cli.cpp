@@ -109,11 +109,10 @@ int usage() {
       "global options:\n"
       "  --threads N   thread budget for analysis/simulation hot paths\n"
       "                (default: hardware concurrency; 1 = fully serial)\n"
-      "  --linalg-backend auto|reference|blocked|simd\n"
-      "                dense-kernel implementation (auto picks the fastest\n"
-      "                the build and host CPU support: simd, else blocked,\n"
-      "                else reference; forcing simd on unsupported hardware\n"
-      "                is an error)\n"
+      "  --linalg-backend auto|reference|simd\n"
+      "                dense-kernel implementation (default auto: simd when\n"
+      "                the host CPU supports it, else reference; forcing\n"
+      "                simd on unsupported hardware is an error)\n"
       "  --telemetry FILE        write a telemetry snapshot (JSON) on exit\n"
       "  --telemetry-trace FILE  write spans as chrome://tracing JSON on "
       "exit\n");
@@ -683,7 +682,7 @@ int main(int argc, char** argv) {
       if (!parsed.has_value()) {
         std::fprintf(stderr,
                      "vn2: unknown --linalg-backend '%s' "
-                     "(expected auto, reference, blocked, or simd)\n",
+                     "(expected auto, reference, or simd)\n",
                      backend.c_str());
         return 2;
       }
@@ -694,7 +693,7 @@ int main(int argc, char** argv) {
           !vn2::linalg::simd_available()) {
         const char* reason = vn2::linalg::simd_kernels_compiled()
                                  ? "host CPU lacks the required features"
-                                 : "this build compiled the simd kernels out";
+                                 : "no simd kernels for this architecture";
         std::fprintf(stderr, "vn2: --linalg-backend simd: %s (detected: %s)\n",
                      reason, vn2::linalg::cpu_features_summary().c_str());
         return 2;
