@@ -39,15 +39,18 @@ int main() {
   }
 
   // Mean PRR inside vs outside the episode (skip the first warm-up day).
+  // A window counts as outside only if it does not overlap the episode;
+  // windows that straddle an episode boundary count in neither mean.
   double inside = 0.0, outside = 0.0;
   std::size_t inside_count = 0, outside_count = 0;
   for (const trace::PrrPoint& p : series) {
     if (p.window_start < 86400.0) continue;
-    const double mid = 0.5 * (p.window_start + p.window_end);
-    if (mid >= params.episode_start && mid <= params.episode_end) {
+    if (p.window_start >= params.episode_start &&
+        p.window_end <= params.episode_end) {
       inside += p.prr();
       ++inside_count;
-    } else {
+    } else if (p.window_end <= params.episode_start ||
+               p.window_start >= params.episode_end) {
       outside += p.prr();
       ++outside_count;
     }

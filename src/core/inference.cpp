@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -16,21 +17,32 @@ using linalg::Vector;
 
 namespace {
 
-// One diagnosis against a pre-transposed Ψᵀ, so batch callers pay for the
-// transpose once instead of once per state. The workspace recycles the
-// NNLS scratch across states (warm == cold bit-for-bit, see nnls.hpp).
-Diagnosis diagnose_against(const Matrix& psi_t, const Vn2Model& model,
-                           const Vector& raw_state,
-                           const DiagnoseOptions& options,
-                           linalg::NnlsWorkspace& workspace) {
+// The model's G was formed on the backend active when the model was built
+// or loaded. After a set_backend() switch the call forms G again on the
+// current backend, so no diagnosis mixes two backends' rounding.
+const linalg::NnlsSystem& current_system(
+    const Vn2Model& model, std::optional<linalg::NnlsSystem>& rebuilt) {
+  const linalg::NnlsSystem& system = model.nnls_system();
+  if (system.backend() == linalg::backend()) return system;
+  return rebuilt.emplace(system.a());
+}
+
+// The per-state body of the one inference kernel. The state is encoded
+// once; ε, the verdict and the NNLS right-hand side all come from that
+// vector. The workspace is the caller's (one per chunk slot); a warm one
+// solves bit-identically to a cold one.
+Diagnosis diagnose_one(const linalg::NnlsSystem& system,
+                       const Vn2Model& model, const Vector& raw_state,
+                       const DiagnoseOptions& options,
+                       linalg::NnlsWorkspace& workspace) {
+  const Vector encoded = model.encoder().encode(raw_state);
   Diagnosis diagnosis;
-  diagnosis.exception_score = model.exception_score(raw_state);
-  diagnosis.is_exception = model.is_exception(raw_state);
+  diagnosis.exception_score = linalg::norm2(encoded);
+  diagnosis.is_exception = model.is_exception_score(diagnosis.exception_score);
 
   // NNLS against A = Ψᵀ (86 × r), b = encoded state.
-  const Vector encoded = model.encoder().encode(raw_state);
   linalg::NnlsResult solution =
-      linalg::nnls(psi_t, encoded, options.nnls, workspace);
+      linalg::nnls(system, encoded, options.nnls, workspace);
   diagnosis.weights = std::move(solution.x);
   diagnosis.residual = solution.residual_norm;
 
@@ -52,20 +64,58 @@ Diagnosis diagnose_against(const Matrix& psi_t, const Vn2Model& model,
   return diagnosis;
 }
 
-// Cold-workspace convenience for the one-shot paths.
-Diagnosis diagnose_against(const Matrix& psi_t, const Vn2Model& model,
-                           const Vector& raw_state,
-                           const DiagnoseOptions& options) {
-  linalg::NnlsWorkspace workspace;
-  return diagnose_against(psi_t, model, raw_state, options, workspace);
-}
-
 void check_batch_input(const Vn2Model& model, const Matrix& raw_states,
                        const char* who) {
   if (!model.trained())
     throw std::invalid_argument(std::string(who) + ": model is not trained");
   VN2_CHECK(raw_states.cols() == metrics::kMetricCount,
             "batch states must match the 43-metric schema");
+}
+
+// Receives each finished batch; it may take the diagnoses out of it.
+using BatchSink =
+    std::function<void(std::size_t first, std::vector<Diagnosis>& batch)>;
+
+// The one inference kernel behind diagnose_batch, diagnose_stream and
+// correlation_strengths. It walks raw_states in batches of batch_size
+// states and splits each batch into chunks of `chunk` states, one
+// parallel_for task per chunk. Chunk slot c owns workspace c in every
+// batch (index-owned, so race-free), and each workspace is sized once.
+// Finished batches reach the sink serially and in state order.
+StreamReport run_kernel(const Vn2Model& model, const Matrix& raw_states,
+                        std::size_t batch_size, std::size_t chunk,
+                        const DiagnoseOptions& options, const BatchSink& sink) {
+  std::optional<linalg::NnlsSystem> rebuilt;
+  const linalg::NnlsSystem& system = current_system(model, rebuilt);
+  const std::size_t total = raw_states.rows();
+  VN2_COUNT_N("vn2.states.diagnosed", total);
+  const std::size_t slots = (std::min(batch_size, total) + chunk - 1) / chunk;
+  std::vector<linalg::NnlsWorkspace> workspaces(slots);
+  // The batch buffer is recycled, so memory stays O(batch_size) however
+  // many states flow through.
+  std::vector<Diagnosis> batch;
+  StreamReport report;
+  for (std::size_t first = 0; first < total; first += batch_size) {
+    const std::size_t count = std::min(batch_size, total - first);
+    batch.resize(count);
+    const bool last = first + count == total;
+    parallel_for(0, (count + chunk - 1) / chunk, 1, [&](std::size_t c) {
+      const std::size_t end = std::min((c + 1) * chunk, count);
+      for (std::size_t i = c * chunk; i < end; ++i)
+        batch[i] = diagnose_one(system, model,
+                                raw_states.row_vector(first + i), options,
+                                workspaces[c]);
+      // A slot's last chunk frees its workspace, so a one-batch call holds
+      // only the running chunks' workspaces at a time.
+      if (last) workspaces[c] = linalg::NnlsWorkspace{};
+    });
+    for (const Diagnosis& d : batch)
+      if (d.is_exception) ++report.exceptions;
+    report.states += count;
+    ++report.batches;
+    sink(first, batch);
+  }
+  return report;
 }
 
 }  // namespace
@@ -76,8 +126,10 @@ Diagnosis diagnose(const Vn2Model& model, const Vector& raw_state,
     throw std::invalid_argument("diagnose: model is not trained");
   VN2_CHECK(raw_state.size() == metrics::kMetricCount,
             "diagnose: state vector must match the 43-metric schema");
-  return diagnose_against(linalg::transpose(model.psi()), model, raw_state,
-                          options);
+  std::optional<linalg::NnlsSystem> rebuilt;
+  linalg::NnlsWorkspace workspace;
+  return diagnose_one(current_system(model, rebuilt), model, raw_state,
+                      options, workspace);
 }
 
 std::vector<Diagnosis> diagnose_batch(const Vn2Model& model,
@@ -85,15 +137,13 @@ std::vector<Diagnosis> diagnose_batch(const Vn2Model& model,
                                       const DiagnoseOptions& options) {
   check_batch_input(model, raw_states, "diagnose_batch");
   VN2_SPAN("vn2.diagnose_batch");
-  VN2_COUNT_N("vn2.states.diagnosed", raw_states.rows());
-  const Matrix a = linalg::transpose(model.psi());
-  // Each state's NNLS is independent; slot i is written only by task i, so
-  // the batch matches the serial per-state loop at any thread count.
-  std::vector<Diagnosis> diagnoses(raw_states.rows());
-  parallel_for(0, raw_states.rows(), 8, [&](std::size_t i) {
-    diagnoses[i] =
-        diagnose_against(a, model, raw_states.row_vector(i), options);
-  });
+  // One batch of every state, collected by moving it out.
+  std::vector<Diagnosis> diagnoses;
+  run_kernel(model, raw_states, std::max<std::size_t>(raw_states.rows(), 1),
+             StreamOptions{}.chunk, options,
+             [&](std::size_t, std::vector<Diagnosis>& batch) {
+               diagnoses = std::move(batch);
+             });
   return diagnoses;
 }
 
@@ -104,59 +154,26 @@ StreamReport diagnose_stream(const Vn2Model& model, const Matrix& raw_states,
   VN2_CHECK(options.batch_size > 0, "diagnose_stream: batch_size must be > 0");
   VN2_CHECK(options.chunk > 0, "diagnose_stream: chunk must be > 0");
   VN2_SPAN("vn2.diagnose_stream");
-  const std::size_t total = raw_states.rows();
-  VN2_COUNT_N("vn2.states.diagnosed", total);
-
-  const Matrix a = linalg::transpose(model.psi());
-  // The bounded queue: one batch of Diagnosis slots, recycled every
-  // iteration (slot vectors keep their heap capacity), so the stream's
-  // memory footprint is O(batch_size) however many states flow through.
-  std::vector<Diagnosis> batch(std::min(options.batch_size, total));
-  // One NNLS workspace per chunk slot. Chunk c is task c of the
-  // parallel_for, so workspace c is index-owned (race-free) and — because
-  // a warm workspace solves bit-identically to a cold one — reusing it
-  // across chunks' states and across batches never changes a result, it
-  // only amortizes the allocations away.
-  const std::size_t chunk = options.chunk;
-  const std::size_t slots = (batch.size() + chunk - 1) / chunk;
-  std::vector<linalg::NnlsWorkspace> workspaces(slots);
-
-  StreamReport report;
-  for (std::size_t first = 0; first < total; first += batch.size()) {
-    const std::size_t count = std::min(batch.size(), total - first);
-    const std::size_t chunks = (count + chunk - 1) / chunk;
-    VN2_SPAN("vn2.diagnose_stream.batch");
-    parallel_for(0, chunks, 1, [&](std::size_t c) {
-      const std::size_t begin = c * chunk;
-      const std::size_t end = std::min(begin + chunk, count);
-      for (std::size_t i = begin; i < end; ++i)
-        batch[i] = diagnose_against(a, model,
-                                    raw_states.row_vector(first + i),
-                                    options.diagnose, workspaces[c]);
-    });
-    if (count < batch.size()) batch.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-      if (batch[i].is_exception) ++report.exceptions;
-    report.states += count;
-    ++report.batches;
-    VN2_COUNT("vn2.stream.batches");
-    if (sink) sink(first, batch);
-  }
-  return report;
+  return run_kernel(model, raw_states, options.batch_size, options.chunk,
+                    options.diagnose,
+                    [&](std::size_t first, std::vector<Diagnosis>& batch) {
+                      VN2_COUNT("vn2.stream.batches");
+                      if (sink) sink(first, batch);
+                    });
 }
 
 Matrix correlation_strengths(const Vn2Model& model, const Matrix& raw_states,
                              const DiagnoseOptions& options) {
   check_batch_input(model, raw_states, "correlation_strengths");
   VN2_SPAN("vn2.correlation_strengths");
-  const Matrix a = linalg::transpose(model.psi());
   Matrix w(raw_states.rows(), model.rank());
-  parallel_for(0, raw_states.rows(), 8, [&](std::size_t i) {
-    const Vector encoded =
-        model.encoder().encode(raw_states.row_vector(i));
-    const linalg::NnlsResult solution = linalg::nnls(a, encoded, options.nnls);
-    for (std::size_t r = 0; r < model.rank(); ++r) w(i, r) = solution.x[r];
-  });
+  const StreamOptions stream;
+  run_kernel(model, raw_states, stream.batch_size, stream.chunk, options,
+             [&](std::size_t first, std::vector<Diagnosis>& batch) {
+               for (std::size_t i = 0; i < batch.size(); ++i)
+                 for (std::size_t r = 0; r < model.rank(); ++r)
+                   w(first + i, r) = batch[i].weights[r];
+             });
   return w;
 }
 

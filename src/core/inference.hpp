@@ -6,6 +6,14 @@
 // (non-negative least squares) to obtain the correlation strength of every
 // root-cause vector; non-zero entries identify the root causes active at
 // this moment and their magnitudes quantize each cause's influence.
+//
+// Every entry point below runs one kernel per state: encode the state
+// once, take ε and the verdict from that vector, and solve the NNLS
+// against the model's prepared system (Ψᵀ and G = ΨΨᵀ, formed when the
+// model was built or loaded; see Vn2Model::nnls_system). The batch entry
+// points run it in chunks, one NnlsWorkspace per chunk slot, so a state's
+// result is bit-identical whichever entry point, thread count, batch size
+// or chunk size produced it.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +51,8 @@ Diagnosis diagnose(const Vn2Model& model, const linalg::Vector& raw_state,
 
 /// Diagnoses a batch of raw states (n × 43), solving the independent
 /// per-state NNLS problems across the global worker pool (see
-/// core/parallel.hpp). Result i equals diagnose(model, row i, options)
-/// bit-for-bit at any thread count; Ψᵀ is formed once for the whole batch.
+/// core/parallel.hpp) in chunks of StreamOptions{}.chunk states. Result i
+/// equals diagnose(model, row i, options) bit-for-bit at any thread count.
 std::vector<Diagnosis> diagnose_batch(const Vn2Model& model,
                                       const linalg::Matrix& raw_states,
                                       const DiagnoseOptions& options = {});
@@ -54,9 +62,8 @@ struct StreamOptions {
   /// States resident in the queue at once — the memory bound. The stream
   /// path never materializes more than this many Diagnosis objects.
   std::size_t batch_size = 1024;
-  /// States per parallel_for task: cache-sized chunks instead of one task
-  /// per state, and one NnlsWorkspace per chunk slot (reused across
-  /// batches) so workspace setup amortizes over the whole stream.
+  /// States per parallel_for task, and one NnlsWorkspace per chunk slot,
+  /// sized once and reused across batches.
   std::size_t chunk = 64;
   DiagnoseOptions diagnose;
 };
@@ -76,12 +83,11 @@ using DiagnosisSink =
 
 /// Streaming sink-side inference for millions-of-states workloads: pulls
 /// raw_states through a bounded queue of batch_size states, diagnoses each
-/// batch across the worker pool in cache-sized chunks, and hands finished
-/// batches to the sink in order. Per state the result equals
+/// batch across the worker pool in chunks, and hands finished batches to
+/// the sink in order. Per state the result equals
 /// diagnose(model, row, options.diagnose) bit-for-bit at any thread count,
 /// batch size, or chunk size: chunk slot c owns workspace c (index-owned,
 /// race-free) and a warm NnlsWorkspace is result-identical to a cold one.
-/// Ψᵀ is formed once for the whole stream.
 StreamReport diagnose_stream(const Vn2Model& model,
                              const linalg::Matrix& raw_states,
                              const StreamOptions& options,
@@ -89,6 +95,8 @@ StreamReport diagnose_stream(const Vn2Model& model,
 
 /// Computes the full correlation-strength matrix W (n × r) for a batch of
 /// raw states — the data behind the paper's Fig. 3(c), 5(b), 6(b) scatters.
+/// Row i equals diagnose_batch's weights of state i bit-for-bit; states
+/// flow through in StreamOptions{} batches and only the weights are kept.
 linalg::Matrix correlation_strengths(const Vn2Model& model,
                                      const linalg::Matrix& raw_states,
                                      const DiagnoseOptions& options = {});

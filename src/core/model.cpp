@@ -1,6 +1,7 @@
 #include "core/model.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -22,6 +23,7 @@ Vn2Model::Vn2Model(Matrix psi, StateEncoder encoder, double train_max_score,
       exception_threshold_(exception_threshold) {
   if (psi_.cols() != kEncodedCount)
     throw std::invalid_argument("Vn2Model: psi must have 86 columns");
+  nnls_system_ = linalg::NnlsSystem(linalg::transpose(psi_));
 }
 
 Vector Vn2Model::root_cause_profile(std::size_t row) const {
@@ -33,9 +35,18 @@ double Vn2Model::exception_score(const Vector& raw_state) const {
 }
 
 bool Vn2Model::is_exception(const Vector& raw_state) const {
+  return is_exception_score(exception_score(raw_state));
+}
+
+bool Vn2Model::is_exception_score(double score) const noexcept {
   if (train_max_score_ <= 0.0) return false;
-  return exception_score(raw_state) / train_max_score_ >=
-         exception_threshold_;
+  return score / train_max_score_ >= exception_threshold_;
+}
+
+bool Vn2Model::operator==(const Vn2Model& other) const {
+  return psi_ == other.psi_ && encoder_ == other.encoder_ &&
+         train_max_score_ == other.train_max_score_ &&
+         exception_threshold_ == other.exception_threshold_;
 }
 
 namespace {
@@ -51,17 +62,57 @@ void write_matrix(std::ostream& os, const Matrix& m) {
   }
 }
 
-Matrix read_matrix(std::istream& is) {
-  std::size_t rows = 0, cols = 0;
-  if (!(is >> rows >> cols))
-    throw std::runtime_error("model load: bad matrix header");
-  Matrix m(rows, cols);
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < cols; ++j)
-      if (!(is >> m(i, j)))
-        throw std::runtime_error("model load: truncated matrix");
-  return m;
-}
+// Reads a model file token by token. Every token must parse whole, and
+// every failure names the file and the problem.
+class ModelReader {
+ public:
+  ModelReader(std::istream& is, const std::string& path)
+      : is_(is), path_(path) {}
+
+  [[noreturn]] void fail(const std::string& problem) const {
+    throw std::runtime_error("model load: " + path_ + ": " + problem);
+  }
+
+  template <class T>
+  T next(const std::string& what) {
+    std::string token;
+    if (!(is_ >> token)) fail("truncated " + what);
+    T value{};
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+      fail("bad " + what + " '" + token + "'");
+    return value;
+  }
+
+  // A matrix whose shape the format fixes: the header is checked before
+  // anything is allocated, and every entry must be finite.
+  Matrix matrix(const std::string& what, std::size_t min_rows,
+                std::size_t max_rows, std::size_t cols) {
+    const auto rows = next<std::size_t>(what + " row count");
+    const auto width = next<std::size_t>(what + " column count");
+    if (rows < min_rows || rows > max_rows || width != cols) {
+      std::string want = std::to_string(max_rows);
+      if (min_rows != max_rows) want = std::to_string(min_rows) + ".." + want;
+      fail(what + " is " + std::to_string(rows) + " x " +
+           std::to_string(width) + ", want " + want + " x " +
+           std::to_string(cols));
+    }
+    Matrix m(rows, cols);
+    for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t j = 0; j < cols; ++j) {
+        m(i, j) = next<double>(what + " entry");
+        if (!std::isfinite(m(i, j)))
+          fail(what + " entry (" + std::to_string(i) + ", " +
+               std::to_string(j) + ") is not finite");
+      }
+    return m;
+  }
+
+ private:
+  std::istream& is_;
+  const std::string& path_;
+};
 
 }  // namespace
 
@@ -83,14 +134,24 @@ Vn2Model Vn2Model::load(const std::string& path) {
   int version = 0;
   if (!(file >> magic >> version) || magic != "VN2MODEL" || version != 2)
     throw std::runtime_error("model load: bad header in " + path);
-  Vn2Model model;
-  if (!(file >> model.train_max_score_ >> model.exception_threshold_))
-    throw std::runtime_error("model load: bad stats line");
-  model.psi_ = read_matrix(file);
-  model.encoder_ = StateEncoder::from_matrix(read_matrix(file));
-  if (model.psi_.cols() != kEncodedCount)
-    throw std::runtime_error("model load: psi must have 86 columns");
-  return model;
+  ModelReader reader(file, path);
+  const auto train_max_score = reader.next<double>("stats line");
+  const auto exception_threshold = reader.next<double>("stats line");
+  if (!std::isfinite(train_max_score) || !std::isfinite(exception_threshold))
+    reader.fail("stats line is not finite");
+  Matrix psi = reader.matrix("psi", 1, kEncodedCount, kEncodedCount);
+  for (std::size_t i = 0; i < psi.rows(); ++i)
+    for (std::size_t j = 0; j < psi.cols(); ++j)
+      if (psi(i, j) < 0.0)
+        reader.fail("psi entry (" + std::to_string(i) + ", " +
+                    std::to_string(j) + ") is negative");
+  const Matrix encoder = reader.matrix("encoder", 3, 3, metrics::kMetricCount);
+  try {
+    return Vn2Model(std::move(psi), StateEncoder::from_matrix(encoder),
+                    train_max_score, exception_threshold);
+  } catch (const std::invalid_argument& e) {
+    reader.fail(e.what());
+  }
 }
 
 TrainingReport train(const Matrix& raw_states, const TrainingOptions& options) {

@@ -7,7 +7,10 @@
 //
 // The model keeps the training encoder (per-metric mean/std of variations)
 // and the training maximum of the ε score, so fresh states can be judged
-// normal/abnormal online with exactly the training-time rule.
+// normal/abnormal online with exactly the training-time rule. It also
+// keeps the prepared NNLS system of the online step: Ψᵀ and its Gram
+// matrix ΨΨᵀ, formed when the model is constructed or loaded, so no
+// diagnosis transposes Ψ or forms a Gram matrix.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +20,7 @@
 #include "core/encoder.hpp"
 #include "core/exception_detection.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/nnls.hpp"
 #include "nmf/nmf.hpp"
 #include "nmf/rank_selection.hpp"
 #include "nmf/sparsify.hpp"
@@ -36,6 +40,11 @@ class Vn2Model {
   }
   [[nodiscard]] std::size_t rank() const noexcept { return psi_.rows(); }
   [[nodiscard]] bool trained() const noexcept { return psi_.rows() > 0; }
+  /// NNLS against A = Ψᵀ (86 × r), with G = ΨΨᵀ formed once (paper,
+  /// Problem 3; see linalg/nnls.hpp).
+  [[nodiscard]] const linalg::NnlsSystem& nnls_system() const noexcept {
+    return nnls_system_;
+  }
 
   /// Signed 43-metric profile (σ units) of root-cause vector `row` — the
   /// paper's Fig. 4 style view of Ψ.
@@ -45,6 +54,8 @@ class Vn2Model {
   [[nodiscard]] double exception_score(const linalg::Vector& raw_state) const;
   /// True when the training-time ε rule flags the state as an exception.
   [[nodiscard]] bool is_exception(const linalg::Vector& raw_state) const;
+  /// The ε rule on an already computed score.
+  [[nodiscard]] bool is_exception_score(double score) const noexcept;
 
   [[nodiscard]] double train_max_score() const noexcept {
     return train_max_score_;
@@ -54,17 +65,23 @@ class Vn2Model {
   }
 
   /// Persistence (plain text, versioned). Throws std::runtime_error on IO
-  /// or format errors.
+  /// or format errors; load() also rejects, naming the file and the
+  /// problem, a Ψ that is not r × 86 with 1 ≤ r ≤ 86 or has a negative or
+  /// non-finite entry, an encoder that is not 3 × 43 or not finite, and a
+  /// non-finite stats line. Dimensions are checked before anything is
+  /// allocated.
   void save(const std::string& path) const;
   static Vn2Model load(const std::string& path);
 
-  bool operator==(const Vn2Model&) const = default;
+  /// Compares what the model file stores; the NNLS system derives from Ψ.
+  bool operator==(const Vn2Model& other) const;
 
  private:
   linalg::Matrix psi_;  ///< r × 86, encoded space.
   StateEncoder encoder_;
   double train_max_score_ = 0.0;
   double exception_threshold_ = 0.01;
+  linalg::NnlsSystem nnls_system_;
 };
 
 struct TrainingOptions {

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
-#include <vector>
 
 #include "core/contracts.hpp"
-#include "linalg/kernels.hpp"
 #include "linalg/solve.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -15,66 +12,56 @@ namespace vn2::linalg {
 
 namespace {
 
-/// Solves the unconstrained least-squares problem restricted to the passive
-/// set via normal equations (AᵀA)z = Aᵀb with a small ridge for stability.
-/// The Gram matrix comes from the shared SYRK kernel on a contiguous
-/// gather of the passive columns instead of the old O(k²·m) column-strided
-/// triple loop.
-Vector solve_passive(const Matrix& a, const Vector& b,
-                     const std::vector<std::size_t>& passive,
-                     NnlsWorkspace& ws) {
-  const std::size_t k = passive.size();
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  // Genuine reallocations (not warm reuse) are tallied so bench records
-  // can watch the workspace seam: a steady-state solve must not allocate.
-  if (ws.packed.capacity() < m * k) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", m * k * sizeof(double));
-  }
-  ws.packed.assign(m * k, 0.0);
-  if (ws.gram.rows() != k || ws.gram.cols() != k) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", k * k * sizeof(double));
-    ws.gram = Matrix(k, k);
-  }
-  if (ws.rhs.size() != k) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", k * sizeof(double));
-    ws.rhs = Vector(k);
-  }
-  std::fill(ws.rhs.begin(), ws.rhs.end(), 0.0);
+/// Sizes the workspace for an m × n system. Only a new shape allocates;
+/// the counters let bench records check that a warm solve never does.
+void fit_workspace(NnlsWorkspace& ws, std::size_t m, std::size_t n) {
+  if (ws.c.size() == n && ws.residual.size() == m) return;
+  VN2_COUNT("nnls.workspace.reallocs");
+  VN2_COUNT_N("nnls.workspace.alloc_bytes",
+              (n * n + 4 * n + m) * sizeof(double) + n * sizeof(std::size_t));
+  ws.factor = Matrix(n, n);
+  ws.c = Vector(n);
+  ws.w = Vector(n);
+  ws.y = Vector(n);
+  ws.z = Vector(n);
+  ws.residual = Vector(m);
+  ws.passive.reserve(n);
+}
 
-  // Gather the passive columns once so the SYRK kernel streams contiguous
-  // rows; rhs = packedᵀ·b accumulates in the same ascending-row order as
-  // the old per-column dot loops.
-  const double* ad = a.data();
-  double* pd = ws.packed.data();
-  for (std::size_t r = 0; r < m; ++r) {
-    const double* arow = ad + r * n;
-    double* prow = pd + r * k;
-    for (std::size_t i = 0; i < k; ++i) prow[i] = arow[passive[i]];
-    kernels::axpy(b[r], prow, ws.rhs.data(), k);
-  }
-  kernels::syrk_upper(pd, m, k, ws.gram.data());
-
+/// Solves the passive system (G[P,P] + ridge·I)·z = c[P] into ws.z. Rows
+/// [0, ws.factored) of the factor and of y are kept; the rows after them
+/// are gathered from G and c, then factored and substituted.
+void solve_passive(const Matrix& gram, NnlsWorkspace& ws) {
+  const std::size_t k = ws.passive.size();
+  const std::size_t n = gram.cols();
+  const std::size_t* p = ws.passive.data();
   // Ridge scaled to the diagonal keeps Cholesky alive when columns are
   // nearly collinear (common for NMF bases learnt from correlated metrics).
   double diag_max = 0.0;
   for (std::size_t i = 0; i < k; ++i)
-    diag_max = std::max(diag_max, ws.gram(i, i));
+    diag_max = std::max(diag_max, gram(p[i], p[i]));
   const double ridge = std::max(1e-12 * diag_max, 1e-300);
-  for (std::size_t i = 0; i < k; ++i) ws.gram(i, i) += ridge;
-  return cholesky_solve(ws.gram, ws.rhs);
+  if (ridge != ws.ridge) {
+    ws.ridge = ridge;
+    ws.factored = 0;
+  }
+  double* l = ws.factor.data();
+  // The rhs c[P] is staged in z: forward substitution reads it before back
+  // substitution overwrites z with the solution.
+  double* rhs = ws.z.data();
+  for (std::size_t i = ws.factored; i < k; ++i) {
+    const double* g = gram.data() + p[i] * n;
+    double* li = l + i * n;
+    for (std::size_t j = 0; j <= i; ++j) li[j] = g[p[j]];
+    li[i] += ridge;
+    cholesky_row(l, n, i);
+    rhs[i] = ws.c[p[i]];
+  }
+  cholesky_substitute(l, n, k, rhs, ws.y.data(), ws.factored, ws.z.data());
+  ws.factored = k;
 }
 
-double residual_norm_of(const Matrix& a, const Vector& x, const Vector& b) {
-  Vector r = matvec(a, x);
-  r -= b;
-  return norm2(r);
-}
-
-// Postconditions every NNLS solver must satisfy: the solution has one
+// Postconditions every NNLS solve must satisfy: the solution has one
 // entry per column of A, every entry is non-negative (that is the whole
 // point of NNLS), and the residual norm is a finite non-negative number.
 void assert_feasible([[maybe_unused]] const Matrix& a,
@@ -91,73 +78,76 @@ void assert_feasible([[maybe_unused]] const Matrix& a,
 
 }  // namespace
 
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options) {
-  NnlsWorkspace workspace;
-  return nnls(a, b, options, workspace);
+NnlsSystem::NnlsSystem(Matrix a)
+    : a_(std::move(a)),
+      gram_(a_.cols(), a_.cols()),
+      backend_(linalg::backend()) {
+  kernels::syrk_upper(a_.data(), a_.rows(), a_.cols(), gram_.data());
 }
 
-NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options,
-                NnlsWorkspace& ws) {
+NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options) {
+  NnlsWorkspace workspace;
+  return nnls(NnlsSystem(a), b, options, workspace);
+}
+
+NnlsResult nnls(const NnlsSystem& system, const Vector& b,
+                const NnlsOptions& options, NnlsWorkspace& ws) {
+  const Matrix& a = system.a();
+  const Matrix& g = system.gram();
   VN2_CHECK(a.rows() == b.size(), "nnls: A rows must match b size");
   const std::size_t n = a.cols();
   const std::size_t m = a.rows();
-  const std::size_t max_iter =
-      options.max_iterations ? options.max_iterations : 3 * std::max<std::size_t>(n, 1);
+  const std::size_t max_iter = options.max_iterations
+                                   ? options.max_iterations
+                                   : 3 * std::max<std::size_t>(n, 1);
+  fit_workspace(ws, m, n);
+  VN2_COUNT("nnls.solves");
+
+  // c = Aᵀb, row by row: each c[j] accumulates in ascending row order.
+  std::fill(ws.c.begin(), ws.c.end(), 0.0);
+  for (std::size_t r = 0; r < m; ++r)
+    kernels::axpy(b[r], a.data() + r * n, ws.c.data(), n);
 
   Vector x(n, 0.0);
-  VN2_COUNT("nnls.solves");
-  // Warm-workspace reset: in_passive/passive re-assigned wholesale, the
-  // numeric buffers reshaped lazily (and fully overwritten before reads in
-  // the loop bodies below) — a warm solve is bit-identical to a cold one.
-  ws.in_passive.assign(n, false);
-  std::vector<bool>& in_passive = ws.in_passive;
-  ws.passive.clear();
   std::vector<std::size_t>& passive = ws.passive;
-  if (ws.ax.size() != m) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", m * sizeof(double));
-    ws.ax = Vector(m);
-  }
-  if (ws.gradient.size() != n) {
-    VN2_COUNT("nnls.workspace.reallocs");
-    VN2_COUNT_N("nnls.workspace.alloc_bytes", n * sizeof(double));
-    ws.gradient = Vector(n);
-  }
-
+  passive.clear();
+  ws.factored = 0;
+  ws.ridge = 0.0;
+  std::size_t pivots = 0;
+  bool converged = false;
   std::size_t iter = 0;
   for (; iter < max_iter; ++iter) {
-    // w = Aᵀ(b − A·x), built row-wise: row r contributes (b[r] − (A·x)[r])
-    // times A(r,·) via axpy, so each w[j] accumulates in the same
-    // ascending-r order as a per-column dot — but streaming A once.
-    kernels::gemv(a.data(), x.data(), ws.ax.data(), m, n);
-    Vector& w = ws.gradient;
-    std::fill(w.begin(), w.end(), 0.0);
-    for (std::size_t r = 0; r < m; ++r)
-      kernels::axpy(b[r] - ws.ax[r], a.data() + r * n, w.data(), n);
-
-    // Select the most-violating active coordinate.
+    // Gradient w = c − G·x. x is zero off the passive set, so only the
+    // passive rows of G (G is symmetric) are subtracted, in pivot order.
+    double* w = ws.w.data();
+    std::copy(ws.c.begin(), ws.c.end(), w);
+    for (const std::size_t q : passive)
+      kernels::axpy(-x[q], g.data() + q * n, w, n);
+    // Select the most-violating active coordinate: passive ones are no
+    // candidates, and the first maximum wins. Branch-free, because which
+    // entry wins is data-dependent and unpredictable.
+    for (const std::size_t q : passive)
+      w[q] = -std::numeric_limits<double>::infinity();
     double best = options.tolerance;
     std::size_t best_j = n;
     for (std::size_t j = 0; j < n; ++j) {
-      if (!in_passive[j] && w[j] > best) {
-        best = w[j];
-        best_j = j;
-      }
+      const bool better = w[j] > best;
+      best = better ? w[j] : best;
+      best_j = better ? j : best_j;
     }
     if (best_j == n) {
       // KKT satisfied: active gradients all ≤ tolerance.
-      const double residual = residual_norm_of(a, x, b);
-      assert_feasible(a, x, residual);
-      return {std::move(x), residual, iter, true};
+      converged = true;
+      break;
     }
 
-    in_passive[best_j] = true;
     passive.push_back(best_j);
-    VN2_COUNT("nnls.pivots");
+    ++pivots;
 
     // Inner loop: solve on the passive set; walk back any negative entries.
     while (true) {
-      Vector z = solve_passive(a, b, passive, ws);
+      solve_passive(g, ws);
+      const double* z = ws.z.data();
       bool all_positive = true;
       for (std::size_t i = 0; i < passive.size(); ++i)
         if (z[i] <= options.tolerance) all_positive = false;
@@ -179,67 +169,27 @@ NnlsResult nnls(const Matrix& a, const Vector& b, const NnlsOptions& options,
         const std::size_t j = passive[i];
         x[j] += alpha * (z[i] - x[j]);
       }
-      // Remove coordinates that reached (numerical) zero.
-      std::vector<std::size_t> next;
-      next.reserve(passive.size());
-      for (std::size_t j : passive) {
+      // Remove coordinates that reached (numerical) zero, keeping pivot
+      // order: the factor stays valid up to the first removed row.
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < passive.size(); ++i) {
+        const std::size_t j = passive[i];
         if (x[j] > options.tolerance) {
-          next.push_back(j);
+          passive[kept++] = j;
         } else {
           x[j] = 0.0;
-          in_passive[j] = false;
+          ws.factored = std::min(ws.factored, i);
         }
       }
-      passive = std::move(next);
+      passive.resize(kept);
       if (passive.empty()) break;
     }
   }
-  const double residual = residual_norm_of(a, x, b);
-  assert_feasible(a, x, residual);
-  return {std::move(x), residual, iter, false};
-}
+  VN2_COUNT_N("nnls.pivots", pivots);
 
-NnlsResult nnls_projected_gradient(const Matrix& a, const Vector& b,
-                                   const ProjectedGradientOptions& options) {
-  VN2_CHECK(a.rows() == b.size(), "nnls_projected_gradient: size mismatch");
-  const std::size_t n = a.cols();
-  Vector x(n, 0.0);
-
-  // Lipschitz constant estimate of ∇½‖Ax−b‖² via ‖AᵀA‖₁ upper bound.
-  Matrix at = transpose(a);
-  Matrix gram = matmul(at, a);
-  double lipschitz = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double rowsum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) rowsum += std::abs(gram(i, j));
-    lipschitz = std::max(lipschitz, rowsum);
-  }
-  if (lipschitz <= 0.0) {
-    assert_feasible(a, x, norm2(b));
-    return {std::move(x), norm2(b), 0, true};
-  }
-  const double step = 1.0 / lipschitz;
-
-  Vector atb = matvec(at, b);
-  std::size_t iter = 0;
-  for (; iter < options.max_iterations; ++iter) {
-    // grad = AᵀA·x − Aᵀb
-    Vector grad = matvec(gram, x);
-    grad -= atb;
-    double max_move = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double next = std::max(0.0, x[j] - step * grad[j]);
-      max_move = std::max(max_move, std::abs(next - x[j]));
-      x[j] = next;
-    }
-    if (max_move < options.step_tolerance) {
-      ++iter;
-      break;
-    }
-  }
-  const bool converged = iter < options.max_iterations ||
-                         options.max_iterations == 0;
-  const double residual = residual_norm_of(a, x, b);
+  kernels::gemv(a.data(), x.data(), ws.residual.data(), m, n);
+  ws.residual -= b;
+  const double residual = norm2(ws.residual);
   assert_feasible(a, x, residual);
   return {std::move(x), residual, iter, converged};
 }

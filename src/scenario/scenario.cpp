@@ -83,7 +83,9 @@ void sprinkle_background(ScenarioBundle& bundle, double area_m, Time duration,
 
   const auto total = static_cast<std::size_t>(
       hazards_per_day * duration / 86400.0);
-  // Leave the first hour alone: the routing tree is still forming.
+  // Leave the first hour alone: the routing tree is still forming. A run
+  // no longer than that has no time left for ambient hazards.
+  if (duration <= 3600.0) return;
   std::uniform_real_distribution<double> when(3600.0, duration);
 
   for (std::size_t i = 0; i < total; ++i) {

@@ -61,11 +61,11 @@ NetworkStats compute_stats(const wsn::SimulationResult& result,
   std::map<wsn::NodeId, Accumulator> flows;
   for (const wsn::Origination& o : result.originations)
     flows[o.origin].originated++;
-  for (const wsn::SinkPacketRecord& record : result.sink_log) {
-    Accumulator& acc = flows[record.origin];
+  for (const wsn::SinkPacketRecord* record : first_arrivals(result)) {
+    Accumulator& acc = flows[record->origin];
     acc.delivered++;
-    acc.hop_sum += record.hops;
-    acc.hop_max = std::max(acc.hop_max, static_cast<double>(record.hops));
+    acc.hop_sum += record->hops;
+    acc.hop_max = std::max(acc.hop_max, static_cast<double>(record->hops));
   }
 
   double total_hops = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 #include "telemetry/telemetry.hpp"
 
@@ -114,15 +115,65 @@ std::vector<PrrPoint> prr_series(const wsn::SimulationResult& result,
   // inflate a later bucket's ratio. We do not log origination time per
   // packet at the sink, so approximate with the receive time — multi-hop
   // latency is seconds, windows are hours.
-  for (const wsn::SinkPacketRecord& r : result.sink_log)
-    points[bucket_of(r.recv_time)].received++;
+  for (const wsn::SinkPacketRecord* r : first_arrivals(result))
+    points[bucket_of(r->recv_time)].received++;
   return points;
 }
 
 double overall_prr(const wsn::SimulationResult& result) {
   if (result.originations.empty()) return 1.0;
-  return static_cast<double>(result.sink_log.size()) /
+  return static_cast<double>(first_arrivals(result).size()) /
          static_cast<double>(result.originations.size());
+}
+
+std::vector<const wsn::SinkPacketRecord*> first_arrivals(
+    const wsn::SimulationResult& result) {
+  // A reboot restarts a node's epochs, so (origin, epoch, type) alone can
+  // name several reports. An arrival belongs to the latest origination of
+  // its triple at or before it; the first arrival of each origination
+  // counts. Sorting originations and arrivals together by triple, then
+  // time (an origination before an arrival at the same instant), then log
+  // order puts each origination just before its arrivals.
+  constexpr std::size_t kOrigination = static_cast<std::size_t>(-1);
+  struct Event {
+    wsn::NodeId origin;
+    std::uint64_t epoch;
+    PacketType type;
+    wsn::Time time;
+    std::size_t arrival;  ///< Index into the sink log, or kOrigination.
+    [[nodiscard]] auto report() const {
+      return std::tuple(origin, epoch, type);
+    }
+  };
+  const std::vector<wsn::SinkPacketRecord>& log = result.sink_log;
+  std::vector<Event> events;
+  events.reserve(result.originations.size() + log.size());
+  for (const wsn::Origination& o : result.originations)
+    events.push_back({o.origin, o.epoch, o.type, o.time, kOrigination});
+  for (std::size_t i = 0; i < log.size(); ++i)
+    events.push_back(
+        {log[i].origin, log[i].epoch, log[i].type, log[i].recv_time, i});
+  auto key = [](const Event& e) {
+    return std::tuple(e.report(), e.time, e.arrival != kOrigination, e.arrival);
+  };
+  std::sort(events.begin(), events.end(),
+            [&](const Event& a, const Event& b) { return key(a) < key(b); });
+  std::vector<bool> first(log.size(), false);
+  bool delivered = false;  // The current origination already arrived.
+  for (std::size_t k = 0; k < events.size(); ++k) {
+    const Event& e = events[k];
+    if (k == 0 || e.report() != events[k - 1].report()) delivered = false;
+    if (e.arrival == kOrigination) {
+      delivered = false;
+    } else if (!delivered) {
+      first[e.arrival] = true;
+      delivered = true;
+    }
+  }
+  std::vector<const wsn::SinkPacketRecord*> arrivals;
+  for (std::size_t i = 0; i < log.size(); ++i)
+    if (first[i]) arrivals.push_back(&log[i]);
+  return arrivals;
 }
 
 }  // namespace vn2::trace

@@ -74,7 +74,17 @@ struct PrrPoint {
 std::vector<PrrPoint> prr_series(const wsn::SimulationResult& result,
                                  wsn::Time window);
 
-/// Overall PRR of the run.
+/// Overall PRR of the run: distinct reports delivered over reports
+/// originated, at most 1.
 double overall_prr(const wsn::SimulationResult& result);
+
+/// The sink log's first arrival of each originated report, in log order.
+/// A report reaches the sink twice when an ack is lost and the sender
+/// retransmits a packet its parent already forwarded; every PRR here counts
+/// such a report once. Reports are told apart by (origin, epoch, packet
+/// type) and, since a reboot restarts a node's epochs, by the latest
+/// origination of that triple at or before the arrival.
+std::vector<const wsn::SinkPacketRecord*> first_arrivals(
+    const wsn::SimulationResult& result);
 
 }  // namespace vn2::trace

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/parallel.hpp"
 #include "test_helpers.hpp"
@@ -276,6 +278,89 @@ TEST_F(InferenceTest, StreamEdgeCases) {
   zero_chunk.chunk = 0;
   EXPECT_THROW(diagnose_stream(report_.model, one, zero_chunk, nullptr),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// One kernel behind every entry point: the same state gives the same bits
+// whichever entry point, thread count, batch size or chunk size ran it.
+
+bool same_diagnosis(const Diagnosis& a, const Diagnosis& b) {
+  if (a.weights != b.weights || a.residual != b.residual ||
+      a.exception_score != b.exception_score ||
+      a.is_exception != b.is_exception || a.ranked.size() != b.ranked.size())
+    return false;
+  for (std::size_t r = 0; r < a.ranked.size(); ++r)
+    if (a.ranked[r].row != b.ranked[r].row ||
+        a.ranked[r].strength != b.ranked[r].strength)
+      return false;
+  return true;
+}
+
+TEST_F(InferenceTest, CorrelationStrengthsEqualBatchWeightsBitForBit) {
+  const std::vector<Diagnosis> batch =
+      diagnose_batch(report_.model, synthetic_.states);
+  const Matrix w = correlation_strengths(report_.model, synthetic_.states);
+  ASSERT_EQ(w.rows(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    EXPECT_EQ(w.row_vector(i), batch[i].weights) << "state " << i;
+}
+
+TEST_F(InferenceTest, KernelScoreAndVerdictMatchModelRule) {
+  // The synthetic states all break the ε rule; the training mean (ε = 0)
+  // adds the other verdict.
+  Matrix probes = synthetic_.states;
+  Vector mean(metrics::kMetricCount);
+  for (std::size_t m = 0; m < metrics::kMetricCount; ++m)
+    mean[m] = report_.model.encoder().metric_mean(m);
+  probes.append_row(mean.span());
+  const std::vector<Diagnosis> batch = diagnose_batch(report_.model, probes);
+  std::size_t exceptions = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Vector raw = probes.row_vector(i);
+    EXPECT_EQ(batch[i].exception_score, report_.model.exception_score(raw))
+        << "state " << i;
+    EXPECT_EQ(batch[i].is_exception, report_.model.is_exception(raw))
+        << "state " << i;
+    if (batch[i].is_exception) ++exceptions;
+  }
+  EXPECT_GT(exceptions, 0u);
+  EXPECT_LT(exceptions, batch.size());
+}
+
+TEST_F(InferenceTest, EntryPointsAgreeBitForBitAcrossThreads) {
+  const std::size_t previous = num_threads();
+  set_num_threads(1);
+  std::vector<Diagnosis> single;
+  for (std::size_t i = 0; i < synthetic_.states.rows(); ++i)
+    single.push_back(diagnose(report_.model, synthetic_.states.row_vector(i)));
+  for (const std::size_t threads : {1ul, 2ul, 8ul}) {
+    set_num_threads(threads);
+    const std::vector<Diagnosis> batch =
+        diagnose_batch(report_.model, synthetic_.states);
+    ASSERT_EQ(batch.size(), single.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      EXPECT_TRUE(same_diagnosis(batch[i], single[i]))
+          << "batch, state " << i << ", " << threads << " threads";
+    for (const auto& [batch_size, chunk] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {1, 1}, {7, 3}, {64, 64}, {100, 9}, {10000, 64}}) {
+      StreamOptions options;
+      options.batch_size = batch_size;
+      options.chunk = chunk;
+      std::size_t mismatches = 0, seen = 0;
+      diagnose_stream(
+          report_.model, synthetic_.states, options,
+          [&](std::size_t first, const std::vector<Diagnosis>& out) {
+            for (std::size_t i = 0; i < out.size(); ++i, ++seen)
+              if (!same_diagnosis(out[i], single[first + i])) ++mismatches;
+          });
+      EXPECT_EQ(seen, single.size());
+      EXPECT_EQ(mismatches, 0u)
+          << "stream, batch " << batch_size << ", chunk " << chunk << ", "
+          << threads << " threads";
+    }
+  }
+  set_num_threads(previous);
 }
 
 TEST_F(InferenceTest, StrengthFloorFiltersWeakCauses) {

@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "linalg/random.hpp"
 #include "test_helpers.hpp"
@@ -169,6 +172,86 @@ TEST(Model, LoadRejectsGarbage) {
   EXPECT_THROW(Vn2Model::load(path), std::runtime_error);
   std::remove(path.c_str());
   EXPECT_THROW(Vn2Model::load("/definitely/not/here"), std::runtime_error);
+}
+
+// Writes a model file with a valid stats line and encoder around the given
+// Ψ block (header line and rows) and returns its path.
+std::string write_model_file(const std::string& name,
+                             const std::string& psi_block) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::ofstream file(path);
+  file << "VN2MODEL 2\n1.5 0.3\n" << psi_block << "3 43\n";
+  // Means 0, standard deviations 1, clip 12.
+  for (int row = 0; row < 3; ++row) {
+    for (std::size_t m = 0; m < metrics::kMetricCount; ++m) {
+      const double value = row == 0 ? 0.0 : row == 1 ? 1.0 : m ? 0.0 : 12.0;
+      file << (m ? " " : "") << value;
+    }
+    file << "\n";
+  }
+  return path;
+}
+
+// A Ψ block of `rows` × `cols` entries of 0.25, with entry (1, 3) set to
+// `special` when given.
+std::string psi_block(std::size_t rows, std::size_t cols,
+                      const std::string& special = "") {
+  std::ostringstream block;
+  block << rows << " " << cols << "\n";
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j)
+      block << (j ? " " : "")
+            << (i == 1 && j == 3 && !special.empty() ? special : "0.25");
+    block << "\n";
+  }
+  return block.str();
+}
+
+// Loading must fail with a runtime_error naming the file and the problem.
+void expect_load_error(const std::string& path, const std::string& problem) {
+  try {
+    (void)Vn2Model::load(path);
+    ADD_FAILURE() << "loaded " << path;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(problem), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Model, LoadAcceptsWellFormedFile) {
+  const std::string path =
+      write_model_file("vn2_model_ok.txt", psi_block(2, kEncodedCount));
+  const Vn2Model model = Vn2Model::load(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(model.rank(), 2u);
+  EXPECT_EQ(model.nnls_system().a(), linalg::transpose(model.psi()));
+}
+
+TEST(Model, LoadRejectsHugeHeaderBeforeAllocating) {
+  expect_load_error(
+      write_model_file("vn2_model_huge.txt", "4000000000 4000000000\n"),
+      "psi is 4000000000 x 4000000000, want 1..86 x 86");
+}
+
+TEST(Model, LoadRejectsNegativePsiEntry) {
+  expect_load_error(write_model_file("vn2_model_negative.txt",
+                                     psi_block(2, kEncodedCount, "-0.5")),
+                    "psi entry (1, 3) is negative");
+}
+
+TEST(Model, LoadRejectsNanPsiEntry) {
+  expect_load_error(write_model_file("vn2_model_nan.txt",
+                                     psi_block(2, kEncodedCount, "nan")),
+                    "psi entry (1, 3) is not finite");
+}
+
+TEST(Model, LoadRejectsWrongPsiWidth) {
+  expect_load_error(
+      write_model_file("vn2_model_85.txt", psi_block(2, kEncodedCount - 1)),
+      "psi is 2 x 85, want 1..86 x 86");
 }
 
 TEST(Model, ConstructorValidatesShape) {

@@ -34,7 +34,7 @@ TEST_P(PipelineProperty, EndToEndInvariants) {
 
   // Simulation invariants.
   ASSERT_GT(result.sink_log.size(), 50u);
-  EXPECT_LE(trace::overall_prr(result), 1.01);
+  EXPECT_LE(trace::overall_prr(result), 1.0);
   for (const wsn::SinkPacketRecord& record : result.sink_log)
     EXPECT_NE(record.origin, wsn::kSinkId);
 

@@ -150,13 +150,14 @@ TEST(Physics, DeadNodesHoldTheirLastState) {
 }
 
 TEST(Physics, LatencySpilloverKeepsPrrNearUnity) {
-  // Per-window PRR can exceed 1 slightly (arrival-time binning), and even
-  // the overall ratio can edge past 1 by a hair: duplicate suppression is
-  // keyed on (origin, seq, hops) like CTP's THL, so a retransmitted copy
-  // that took a different-length path is occasionally delivered twice.
+  // Per-window PRR can exceed 1 slightly (arrival-time binning). The
+  // overall ratio cannot: duplicate suppression is keyed on (origin, seq,
+  // hops) like CTP's THL, so a retransmitted copy that took a
+  // different-length path is occasionally delivered twice, but the PRR
+  // counts each report once.
   scenario::ScenarioBundle bundle = scenario::tiny(16, 7200.0, 9);
   const SimulationResult result = bundle.make_simulator().run();
-  EXPECT_LE(trace::overall_prr(result), 1.01);
+  EXPECT_LE(trace::overall_prr(result), 1.0);
   for (const trace::PrrPoint& p : trace::prr_series(result, 600.0))
     EXPECT_LE(p.prr(), 1.15);
 }

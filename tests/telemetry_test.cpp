@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/inference.hpp"
@@ -331,31 +332,49 @@ TEST_F(TelemetryTest, NmfWorkspaceIsAllocationFreeOnceWarm) {
 
 TEST_F(TelemetryTest, NnlsWarmSolvesAllocateLessAndAtConstantRate) {
   if (!kCompiledIn) GTEST_SKIP() << "built with VN2_TELEMETRY=OFF";
-  const linalg::Matrix a = linalg::random_uniform_matrix(12, 6, 21);
-  const linalg::Vector b(12, 1.0);
+  const linalg::NnlsSystem system(linalg::random_uniform_matrix(12, 6, 21));
   linalg::NnlsWorkspace workspace;
-  (void)linalg::nnls(a, b, {}, workspace);
-  const std::uint64_t cold =
-      Registry::global().snapshot().counter("nnls.workspace.reallocs");
-  EXPECT_GT(cold, 0u);
-  EXPECT_GT(Registry::global().snapshot().counter(
-                "nnls.workspace.alloc_bytes"),
-            0u);
-  (void)linalg::nnls(a, b, {}, workspace);
-  const std::uint64_t after_one =
-      Registry::global().snapshot().counter("nnls.workspace.reallocs");
-  // Warm solves skip the packed/ax/gradient (re)growth; only the
-  // per-iteration gram/rhs reshapes remain, so a warm solve allocates
-  // strictly less than the cold one did.
-  const std::uint64_t per_warm_solve = after_one - cold;
-  EXPECT_LT(per_warm_solve, cold);
-  for (int solve = 0; solve < 3; ++solve)
-    (void)linalg::nnls(a, b, {}, workspace);
-  const std::uint64_t after_four =
-      Registry::global().snapshot().counter("nnls.workspace.reallocs");
-  // ...and at a constant rate: the allocation cost of a warm solve never
-  // creeps up across repetitions.
-  EXPECT_EQ(after_four - after_one, 3 * per_warm_solve);
+  (void)linalg::nnls(system, linalg::Vector(12, 1.0), {}, workspace);
+  const Snapshot cold = Registry::global().snapshot();
+  EXPECT_GT(cold.counter("nnls.workspace.reallocs"), 0u);
+  EXPECT_GT(cold.counter("nnls.workspace.alloc_bytes"), 0u);
+  // A warm solve reallocates nothing, whatever its pivot count.
+  for (std::uint64_t seed = 0; seed < 4; ++seed)
+    (void)linalg::nnls(system,
+                       linalg::random_uniform_vector(12, seed, -1.0, 1.0), {},
+                       workspace);
+  const Snapshot warm = Registry::global().snapshot();
+  EXPECT_GT(warm.counter("nnls.pivots"), cold.counter("nnls.pivots"));
+  EXPECT_EQ(warm.counter("nnls.workspace.reallocs"),
+            cold.counter("nnls.workspace.reallocs"));
+  EXPECT_EQ(warm.counter("nnls.workspace.alloc_bytes"),
+            cold.counter("nnls.workspace.alloc_bytes"));
+
+  // Batch inference sizes one workspace per chunk slot, so two batches of
+  // the same size reallocate equally even when their states need very
+  // different pivot counts: the mean state encodes to 0 and needs none.
+  const vn2::testing::SyntheticTrace synthetic = vn2::testing::make_synthetic(
+      vn2::testing::standard_causes(), 150, 17);
+  core::TrainingOptions options;
+  options.rank = 5;
+  const core::TrainingReport report = core::train(synthetic.states, options);
+  linalg::Matrix mean_states(synthetic.states.rows(), metrics::kMetricCount);
+  for (std::size_t i = 0; i < mean_states.rows(); ++i)
+    for (std::size_t m = 0; m < metrics::kMetricCount; ++m)
+      mean_states(i, m) = report.model.encoder().metric_mean(m);
+  auto counts_for = [&](const linalg::Matrix& states) {
+    Registry::global().reset();
+    (void)core::diagnose_batch(report.model, states);
+    const Snapshot snapshot = Registry::global().snapshot();
+    return std::pair{snapshot.counter("nnls.workspace.reallocs"),
+                     snapshot.counter("nnls.pivots")};
+  };
+  const auto [busy_reallocs, busy_pivots] = counts_for(synthetic.states);
+  const auto [quiet_reallocs, quiet_pivots] = counts_for(mean_states);
+  EXPECT_GT(busy_pivots, 0u);
+  EXPECT_EQ(quiet_pivots, 0u);
+  EXPECT_GT(busy_reallocs, 0u);
+  EXPECT_EQ(busy_reallocs, quiet_reallocs);
 }
 
 TEST_F(TelemetryTest, BatchInferenceAllocationsAreDeterministicAndBounded) {

@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "scenario/scenario.hpp"
 #include "trace/csv.hpp"
+#include "trace/stats.hpp"
 
 namespace vn2::trace {
 namespace {
@@ -161,6 +164,65 @@ TEST(Prr, SeriesAndOverall) {
   EXPECT_EQ(series[0].received, 5u);
   EXPECT_DOUBLE_EQ(series[0].prr(), 1.0);
   EXPECT_DOUBLE_EQ(series[1].prr(), 0.0);
+}
+
+TEST(Prr, DuplicateArrivalsCountOnce) {
+  wsn::SimulationResult result;
+  result.duration = 200.0;
+  result.node_count = 3;
+  for (int i = 0; i < 4; ++i)
+    result.originations.push_back(
+        {static_cast<double>(i) * 20.0, 1, static_cast<std::uint64_t>(i),
+         PacketType::kC1});
+  result.originations.push_back({0.0, 1, 0, PacketType::kC2});
+  // C1 reports 0, 1 and 2 arrive, 0 three times and 2 twice; 3 is lost.
+  // The C2 block of epoch 0 is a report of its own, not a duplicate.
+  for (const auto& [epoch, type, time] :
+       std::vector<std::tuple<int, PacketType, double>>{
+           {0, PacketType::kC1, 1.0},
+           {1, PacketType::kC1, 21.0},
+           {0, PacketType::kC1, 22.0},
+           {2, PacketType::kC1, 41.0},
+           {0, PacketType::kC2, 42.0},
+           {2, PacketType::kC1, 120.0},
+           {0, PacketType::kC1, 130.0}})
+    result.sink_log.push_back(make_record(1, epoch, type, 0.0, time));
+
+  const std::vector<const wsn::SinkPacketRecord*> first =
+      first_arrivals(result);
+  ASSERT_EQ(first.size(), 4u);
+  EXPECT_EQ(first[0], &result.sink_log[0]);
+  EXPECT_EQ(first[1], &result.sink_log[1]);
+  EXPECT_EQ(first[2], &result.sink_log[3]);
+  EXPECT_EQ(first[3], &result.sink_log[4]);
+  // 4 distinct reports of 5 originated; counting all 7 arrivals would
+  // read 1.4.
+  EXPECT_DOUBLE_EQ(overall_prr(result), 0.8);
+  const auto series = prr_series(result, 100.0);
+  ASSERT_EQ(series.size(), 2u);
+  EXPECT_EQ(series[0].received, 4u);  // First arrivals only.
+  EXPECT_EQ(series[1].received, 0u);  // Both late copies are duplicates.
+  EXPECT_DOUBLE_EQ(compute_stats(result, build_trace(result)).overall_prr,
+                   overall_prr(result));
+}
+
+TEST(Prr, RebootedNodesReportsCountSeparately) {
+  // A reboot restarts the node's epochs: epoch 0 is originated twice, and
+  // each origination's first arrival counts, not its later copies.
+  wsn::SimulationResult result;
+  result.duration = 400.0;
+  result.node_count = 2;
+  result.originations.push_back({0.0, 1, 0, PacketType::kC1});
+  result.originations.push_back({10.0, 1, 1, PacketType::kC1});
+  result.originations.push_back({200.0, 1, 0, PacketType::kC1});  // Rebooted.
+  for (const double time : {1.0, 3.0, 201.0, 250.0})
+    result.sink_log.push_back(make_record(1, 0, PacketType::kC1, 0.0, time));
+  const std::vector<const wsn::SinkPacketRecord*> first =
+      first_arrivals(result);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0], &result.sink_log[0]);
+  EXPECT_EQ(first[1], &result.sink_log[2]);
+  EXPECT_DOUBLE_EQ(overall_prr(result), 2.0 / 3.0);
 }
 
 TEST(Prr, EmptyInputs) {
