@@ -1,307 +1,17 @@
 #include "benchstat/record.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "telemetry/json.hpp"
 
 namespace vn2::benchstat {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// JSON emit helpers.
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string quoted(std::string_view text) {
-  std::string out = "\"";
-  append_escaped(out, text);
-  out += '"';
-  return out;
-}
-
-std::string number(double value) {
-  if (!std::isfinite(value)) return "0";  // JSON has no inf/nan.
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-// ---------------------------------------------------------------------------
-// A minimal recursive-descent JSON parser. General enough for any record
-// the writers below emit (plus hand-edited baselines); strict: trailing
-// garbage, unterminated literals, and bad escapes all throw.
-
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<Value> items;                             // kArray
-  std::vector<std::pair<std::string, Value>> members;  // kObject
-
-  [[nodiscard]] const Value* get(std::string_view key) const {
-    for (const auto& [k, v] : members)
-      if (k == key) return &v;
-    return nullptr;
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage after document");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("benchstat: parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  Value parse_value() {
-    skip_ws();
-    switch (peek()) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        return parse_string();
-      case 't':
-      case 'f':
-        return parse_bool();
-      case 'n':
-        return parse_null();
-      default:
-        return parse_number();
-    }
-  }
-
-  Value parse_object() {
-    Value v;
-    v.kind = Value::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      Value key = parse_string();
-      skip_ws();
-      expect(':');
-      v.members.emplace_back(std::move(key.str), parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  Value parse_array() {
-    Value v;
-    v.kind = Value::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.items.push_back(parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  Value parse_string() {
-    Value v;
-    v.kind = Value::Kind::kString;
-    expect('"');
-    while (true) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return v;
-      if (c != '\\') {
-        v.str += c;
-        continue;
-      }
-      const char esc = peek();
-      ++pos_;
-      switch (esc) {
-        case 'n':
-          v.str += '\n';
-          break;
-        case 't':
-          v.str += '\t';
-          break;
-        case 'r':
-          v.str += '\r';
-          break;
-        case 'b':
-          v.str += '\b';
-          break;
-        case 'f':
-          v.str += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("short \\u escape");
-          unsigned code = 0;
-          if (std::sscanf(std::string(text_.substr(pos_, 4)).c_str(), "%4x",
-                          &code) != 1)
-            fail("bad \\u escape");
-          pos_ += 4;
-          // Records only escape control characters, so a single byte
-          // suffices; anything above is preserved as-is by the writer.
-          v.str += static_cast<char>(code);
-          break;
-        }
-        default:
-          v.str += esc;  // Covers \" \\ \/.
-      }
-    }
-  }
-
-  Value parse_bool() {
-    Value v;
-    v.kind = Value::Kind::kBool;
-    if (text_.substr(pos_, 4) == "true") {
-      v.boolean = true;
-      pos_ += 4;
-    } else if (text_.substr(pos_, 5) == "false") {
-      v.boolean = false;
-      pos_ += 5;
-    } else {
-      fail("bad literal");
-    }
-    return v;
-  }
-
-  Value parse_null() {
-    if (text_.substr(pos_, 4) != "null") fail("bad literal");
-    pos_ += 4;
-    return Value{};
-  }
-
-  Value parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) fail("expected a value");
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    try {
-      v.num = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-/// Compact re-serialization, used to preserve the opaque telemetry
-/// subtree through a parse → write round trip.
-void serialize_compact(const Value& v, std::string& out) {
-  switch (v.kind) {
-    case Value::Kind::kNull:
-      out += "null";
-      break;
-    case Value::Kind::kBool:
-      out += v.boolean ? "true" : "false";
-      break;
-    case Value::Kind::kNumber:
-      out += number(v.num);
-      break;
-    case Value::Kind::kString:
-      out += quoted(v.str);
-      break;
-    case Value::Kind::kArray:
-      out += '[';
-      for (std::size_t i = 0; i < v.items.size(); ++i) {
-        if (i != 0) out += ',';
-        serialize_compact(v.items[i], out);
-      }
-      out += ']';
-      break;
-    case Value::Kind::kObject:
-      out += '{';
-      for (std::size_t i = 0; i < v.members.size(); ++i) {
-        if (i != 0) out += ',';
-        out += quoted(v.members[i].first);
-        out += ':';
-        serialize_compact(v.members[i].second, out);
-      }
-      out += '}';
-      break;
-  }
-}
+using telemetry::json::number;
+using telemetry::json::quoted;
+using telemetry::json::Value;
 
 // ---------------------------------------------------------------------------
 // Value → struct extraction, with required/optional field accessors.
@@ -433,7 +143,7 @@ Record record_from_value(const Value& v) {
     record.resources.alloc_bytes = opt_u64(*res, "alloc_bytes");
   }
   if (const Value* telem = v.get("telemetry"); telem != nullptr)
-    serialize_compact(*telem, record.telemetry_json);
+    record.telemetry_json = telemetry::json::write_compact(*telem);
   return record;
 }
 
@@ -618,8 +328,7 @@ void write_record(telemetry::Sink& sink, const Record& record) {
 }
 
 Record read_record(std::string_view text) {
-  Parser parser(text);
-  return record_from_value(parser.parse_document());
+  return record_from_value(telemetry::json::parse(text));
 }
 
 void write_baseline(telemetry::Sink& sink, const Baseline& baseline) {
@@ -635,8 +344,7 @@ void write_baseline(telemetry::Sink& sink, const Baseline& baseline) {
 }
 
 Baseline read_baseline(std::string_view text) {
-  Parser parser(text);
-  const Value document = parser.parse_document();
+  const Value document = telemetry::json::parse(text);
   if (document.kind != Value::Kind::kObject)
     throw std::runtime_error("benchstat: baseline is not a JSON object");
   Baseline baseline;

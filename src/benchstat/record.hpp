@@ -10,8 +10,9 @@
 //
 // Layering mirrors src/telemetry: this library never opens files — all
 // serialization goes through telemetry::Sink, and file handling lives in
-// the tools/bench layer. The parser is a small recursive-descent JSON
-// reader, strict enough to reject malformed records with a clear error.
+// the tools/bench layer. Records are written and read with the one JSON
+// codec, telemetry/json.hpp, which rejects a malformed record with the
+// byte offset of its first bad token.
 #pragma once
 
 #include <cstdint>

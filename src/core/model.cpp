@@ -167,7 +167,8 @@ TrainingReport train(const Matrix& raw_states, const TrainingOptions& options) {
       StateEncoder::fit(raw_states, options.clip_sigma);
   const Matrix encoded = encoder.encode(raw_states);
 
-  // ε rule: unclipped standardized deviation from the training mean (see
+  // ε rule: standardized deviation from the training mean, clipped at
+  // ±clip_sigma per metric like the encoding (see
   // StateEncoder::deviation_score).
   report.detection.scores = Vector(encoded.rows());
   for (std::size_t i = 0; i < raw_states.rows(); ++i) {

@@ -1,6 +1,6 @@
 #include "telemetry/calltree.hpp"
 
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <stdexcept>
@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "telemetry/json.hpp"
 
 namespace vn2::telemetry {
 
@@ -79,29 +80,18 @@ void render_into(const CallTreeNode& node, std::size_t depth,
   throw std::runtime_error("telemetry: call_tree: " + what);
 }
 
-std::size_t skip_spaces(std::string_view text, std::size_t pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos])) != 0)
-    ++pos;
-  return pos;
-}
-
-std::uint64_t entry_u64(std::string_view entry, std::string_view key) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  const std::size_t at = entry.find(needle);
-  if (at == std::string_view::npos)
-    bad_tree("entry missing field '" + std::string(key) + "'");
-  std::size_t begin = at + needle.size();
-  while (begin < entry.size() && entry[begin] == ' ') ++begin;
-  std::size_t end = begin;
-  while (end < entry.size() &&
-         std::isdigit(static_cast<unsigned char>(entry[end])) != 0)
-    ++end;
-  if (end == begin)
-    bad_tree("field '" + std::string(key) + "' is not a number");
-  return std::stoull(std::string(entry.substr(begin, end - begin)));
+/// One of an entry's five counts: a non-negative integer that fits.
+std::uint64_t entry_count(const json::Value& entry, const std::string& path,
+                          std::string_view key) {
+  const json::Value* v = entry.get(key);
+  if (v == nullptr)
+    bad_tree("entry '" + path + "' misses field '" + std::string(key) + "'");
+  // 2^64 as a double: the first value that no longer fits.
+  if (v->kind != json::Value::Kind::kNumber || v->num < 0.0 ||
+      v->num != std::floor(v->num) || v->num >= 18446744073709551616.0)
+    bad_tree("entry '" + path + "' field '" + std::string(key) +
+             "' is not a non-negative integer");
+  return static_cast<std::uint64_t>(v->num);
 }
 
 }  // namespace
@@ -150,48 +140,21 @@ std::string render_call_tree(const CallTree& tree) {
 }
 
 std::vector<PathProfile> read_call_tree_json(std::string_view text) {
-  VN2_CHECK(!text.empty(), "snapshot text must be non-empty");
-  const std::size_t at = text.find("\"call_tree\"");
-  if (at == std::string_view::npos)
+  const json::Value document = json::parse(text);
+  const json::Value* section = document.get("call_tree");
+  if (section == nullptr)
     bad_tree("no \"call_tree\" section in this snapshot");
-  std::size_t pos = text.find('{', at);
-  if (pos == std::string_view::npos) bad_tree("section is not an object");
-  ++pos;
+  if (section->kind != json::Value::Kind::kObject)
+    bad_tree("section is not an object");
   std::vector<PathProfile> out;
-  while (true) {
-    pos = skip_spaces(text, pos);
-    if (pos >= text.size()) bad_tree("unterminated section");
-    if (text[pos] == '}') break;
-    if (text[pos] == ',') {
-      ++pos;
-      continue;
-    }
-    if (text[pos] != '"') bad_tree("expected a path key");
-    std::string path;
-    ++pos;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;
-      path += text[pos];
-      ++pos;
-    }
-    if (pos >= text.size()) bad_tree("unterminated path key");
-    pos = skip_spaces(text, pos + 1);
-    if (pos >= text.size() || text[pos] != ':') bad_tree("expected ':'");
-    pos = skip_spaces(text, pos + 1);
-    if (pos >= text.size() || text[pos] != '{')
-      bad_tree("expected an entry object");
-    const std::size_t close = text.find('}', pos);
-    if (close == std::string_view::npos) bad_tree("unterminated entry");
-    const std::string_view entry = text.substr(pos, close - pos + 1);
-    PathProfile profile;
-    profile.path = std::move(path);
-    profile.count = entry_u64(entry, "count");
-    profile.wall_ns = entry_u64(entry, "wall_ns");
-    profile.cpu_ns = entry_u64(entry, "cpu_ns");
-    profile.excl_wall_ns = entry_u64(entry, "excl_wall_ns");
-    profile.excl_cpu_ns = entry_u64(entry, "excl_cpu_ns");
-    out.push_back(std::move(profile));
-    pos = close + 1;
+  for (const auto& [path, entry] : section->members) {
+    if (entry.kind != json::Value::Kind::kObject)
+      bad_tree("entry '" + path + "' is not an object");
+    out.push_back({path, entry_count(entry, path, "count"),
+                   entry_count(entry, path, "wall_ns"),
+                   entry_count(entry, path, "cpu_ns"),
+                   entry_count(entry, path, "excl_wall_ns"),
+                   entry_count(entry, path, "excl_cpu_ns")});
   }
   return out;
 }

@@ -71,9 +71,11 @@ struct PathProfile {
 /// inclusive/exclusive/CPU milliseconds per node.
 [[nodiscard]] std::string render_call_tree(const CallTree& tree);
 
-/// Extracts the "call_tree" section from a profile snapshot produced by
-/// write_json (sink.hpp). Throws std::runtime_error when the document has
-/// no such section or it is malformed.
+/// Reads the "call_tree" section of a profile snapshot written by
+/// write_json (sink.hpp), parsing the whole document with json.hpp.
+/// Throws std::runtime_error when the document is not valid JSON, has no
+/// such section, or an entry misses one of its five counts or holds one
+/// that is not a non-negative integer.
 [[nodiscard]] std::vector<PathProfile> read_call_tree_json(
     std::string_view text);
 

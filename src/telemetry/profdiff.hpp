@@ -12,9 +12,8 @@
 // meaning anything. Paths present on only one side are reported
 // informationally and never fail the diff — a self-diff is always clean.
 //
-// The vn2_profdiff tool (and `vn2 profile --diff`) maps ProfDiffReport
-// onto the observatory's shared exit codes: 0 = clean, 1 = regression,
-// 2 = usage/parse error.
+// `vn2 profile --diff` maps ProfDiffReport onto the observatory's shared
+// exit codes: 0 = clean, 1 = regression, 2 = usage/parse error.
 #pragma once
 
 #include <cstddef>

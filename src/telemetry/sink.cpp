@@ -1,58 +1,18 @@
 #include "telemetry/sink.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "telemetry/calltree.hpp"
+#include "telemetry/json.hpp"
 
 namespace vn2::telemetry {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// JSON emit helpers.
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string quoted(std::string_view text) {
-  std::string out = "\"";
-  append_escaped(out, text);
-  out += '"';
-  return out;
-}
-
-std::string number(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+using json::number;
+using json::quoted;
 
 std::string micros(std::uint64_t ns) {
   char buffer[64];
@@ -60,103 +20,6 @@ std::string micros(std::uint64_t ns) {
                 static_cast<unsigned long long>(ns / 1000),
                 static_cast<unsigned long long>(ns % 1000));
   return buffer;
-}
-
-// ---------------------------------------------------------------------------
-// JSON read helpers — a deliberately small parser for the two formats
-// this file itself emits (strict enough for round-trip tests, not a
-// general JSON library).
-
-[[noreturn]] void malformed(const std::string& what) {
-  throw std::runtime_error("telemetry: malformed input: " + what);
-}
-
-/// Extracts the raw text after `"key":` within `object`.
-std::string_view raw_field(std::string_view object, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = object.find(needle);
-  if (at == std::string_view::npos)
-    malformed("missing field " + std::string(key));
-  std::string_view rest = object.substr(at + needle.size());
-  std::size_t end = 0;
-  if (!rest.empty() && rest[0] == '"') {
-    end = 1;
-    while (end < rest.size() && rest[end] != '"') {
-      if (rest[end] == '\\') ++end;
-      ++end;
-    }
-    ++end;
-  } else {
-    while (end < rest.size() && rest[end] != ',' && rest[end] != '}' &&
-           rest[end] != ']')
-      ++end;
-  }
-  return rest.substr(0, end);
-}
-
-std::string string_field(std::string_view object, std::string_view key) {
-  std::string_view raw = raw_field(object, key);
-  if (raw.size() < 2 || raw.front() != '"') malformed("expected string");
-  raw = raw.substr(1, raw.size() - 2);
-  std::string out;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (raw[i] != '\\') {
-      out += raw[i];
-      continue;
-    }
-    if (++i >= raw.size()) malformed("dangling escape");
-    switch (raw[i]) {
-      case 'n':
-        out += '\n';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u': {
-        if (i + 4 >= raw.size()) malformed("short \\u escape");
-        out += static_cast<char>(
-            std::stoi(std::string(raw.substr(i + 1, 4)), nullptr, 16));
-        i += 4;
-        break;
-      }
-      default:
-        out += raw[i];
-    }
-  }
-  return out;
-}
-
-double double_field(std::string_view object, std::string_view key) {
-  return std::stod(std::string(raw_field(object, key)));
-}
-
-std::uint64_t u64_field(std::string_view object, std::string_view key) {
-  return std::stoull(std::string(raw_field(object, key)));
-}
-
-/// Like u64_field but tolerates a missing key, for fields added after
-/// the format shipped (readers stay compatible with older captures).
-std::uint64_t u64_field_or(std::string_view object, std::string_view key,
-                           std::uint64_t fallback) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  if (object.find(needle) == std::string_view::npos) return fallback;
-  return u64_field(object, key);
-}
-
-/// String twin of u64_field_or, for the same compatibility reason.
-std::string string_field_or(std::string_view object, std::string_view key,
-                            std::string fallback) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  if (object.find(needle) == std::string_view::npos) return fallback;
-  return string_field(object, key);
-}
-
-std::uint64_t micros_to_ns(double us) {
-  return static_cast<std::uint64_t>(us * 1000.0 + 0.5);
 }
 
 std::string resource_json(const ResourceUsage& usage) {
@@ -171,9 +34,6 @@ std::string resource_json(const ResourceUsage& usage) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Writers.
 
 void write_json(Sink& sink, const Snapshot& snapshot) {
   std::string out = "{\n";
@@ -217,8 +77,8 @@ void write_json(Sink& sink, const Snapshot& snapshot) {
   }
   out += snapshot.span_stats.empty() ? "},\n" : "\n  },\n";
   // The call tree: path-keyed rows in preorder, with exclusive times
-  // precomputed so downstream tools (vn2_profdiff) never rebuild the
-  // hierarchy to diff it.
+  // precomputed so `vn2 profile --diff` never rebuilds the hierarchy to
+  // diff it.
   const std::vector<PathProfile> paths =
       flatten(build_call_tree(snapshot.path_stats));
   out += "  \"call_tree\": {";
@@ -253,53 +113,10 @@ void write_json(Sink& sink, const Snapshot& snapshot) {
   sink.write(out);
 }
 
-void write_json_lines(Sink& sink, const Snapshot& snapshot) {
-  std::string out;
-  out += "{\"type\":\"meta\",\"telemetry_compiled\":";
-  out += snapshot.compiled_in ? "true" : "false";
-  out += ",\"spans_dropped\":" + std::to_string(snapshot.spans_dropped) + "}\n";
-  out += "{\"type\":\"resource\",\"sampled\":";
-  out += snapshot.resource.sampled ? "true" : "false";
-  out += ",\"peak_rss_bytes\":" +
-         std::to_string(snapshot.resource.peak_rss_bytes) +
-         ",\"current_rss_bytes\":" +
-         std::to_string(snapshot.resource.current_rss_bytes) +
-         ",\"cpu_user_ns\":" + std::to_string(snapshot.resource.cpu_user_ns) +
-         ",\"cpu_system_ns\":" +
-         std::to_string(snapshot.resource.cpu_system_ns) + "}\n";
-  for (const auto& [name, value] : snapshot.counters)
-    out += "{\"type\":\"counter\",\"name\":" + quoted(name) +
-           ",\"value\":" + std::to_string(value) + "}\n";
-  for (const auto& [name, value] : snapshot.gauges)
-    out += "{\"type\":\"gauge\",\"name\":" + quoted(name) +
-           ",\"value\":" + number(value) + "}\n";
-  for (const auto& [name, h] : snapshot.histograms)
-    out += "{\"type\":\"histogram\",\"name\":" + quoted(name) +
-           ",\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) +
-           ",\"min\":" + std::to_string(h.min) +
-           ",\"max\":" + std::to_string(h.max) + "}\n";
-  for (const SpanStats& s : snapshot.span_stats)
-    out += "{\"type\":\"span\",\"name\":" + quoted(s.name) +
-           ",\"count\":" + std::to_string(s.count) +
-           ",\"total_ns\":" + std::to_string(s.total_ns) +
-           ",\"min_ns\":" + std::to_string(s.min_ns) +
-           ",\"max_ns\":" + std::to_string(s.max_ns) +
-           ",\"total_cpu_ns\":" + std::to_string(s.total_cpu_ns) + "}\n";
-  for (const SpanStats& s : snapshot.path_stats)
-    out += "{\"type\":\"path\",\"path\":" + quoted(s.name) +
-           ",\"count\":" + std::to_string(s.count) +
-           ",\"total_ns\":" + std::to_string(s.total_ns) +
-           ",\"min_ns\":" + std::to_string(s.min_ns) +
-           ",\"max_ns\":" + std::to_string(s.max_ns) +
-           ",\"total_cpu_ns\":" + std::to_string(s.total_cpu_ns) + "}\n";
-  sink.write(out);
-}
-
 void write_trace_events(Sink& sink, const Snapshot& snapshot) {
   // Complete events ("ph":"X") with timestamps relative to the earliest
   // span, in microseconds as the format requires; base_ns preserves the
-  // absolute origin so read_trace_events can reconstruct start_ns.
+  // absolute origin, so start_ns = base_ns + ts.
   std::uint64_t base = ~std::uint64_t{0};
   for (const SpanRecord& span : snapshot.spans)
     base = std::min(base, span.start_ns);
@@ -320,106 +137,6 @@ void write_trace_events(Sink& sink, const Snapshot& snapshot) {
   }
   out += "\n]}\n";
   sink.write(out);
-}
-
-// ---------------------------------------------------------------------------
-// Readers.
-
-Snapshot read_json_lines(std::string_view text) {
-  Snapshot snapshot;
-  snapshot.compiled_in = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.empty()) continue;
-    if (line.front() != '{' || line.back() != '}')
-      malformed("json-lines record is not an object");
-    const std::string type = string_field(line, "type");
-    if (type == "meta") {
-      snapshot.compiled_in =
-          raw_field(line, "telemetry_compiled") == std::string_view("true");
-      snapshot.spans_dropped = u64_field(line, "spans_dropped");
-    } else if (type == "counter") {
-      snapshot.counters.emplace_back(string_field(line, "name"),
-                                     u64_field(line, "value"));
-    } else if (type == "gauge") {
-      snapshot.gauges.emplace_back(string_field(line, "name"),
-                                   double_field(line, "value"));
-    } else if (type == "histogram") {
-      HistogramSnapshot h;
-      h.count = u64_field(line, "count");
-      h.sum = u64_field(line, "sum");
-      h.min = u64_field(line, "min");
-      h.max = u64_field(line, "max");
-      snapshot.histograms.emplace_back(string_field(line, "name"),
-                                       std::move(h));
-    } else if (type == "span") {
-      SpanStats s;
-      s.name = string_field(line, "name");
-      s.count = u64_field(line, "count");
-      s.total_ns = u64_field(line, "total_ns");
-      s.min_ns = u64_field(line, "min_ns");
-      s.max_ns = u64_field(line, "max_ns");
-      s.total_cpu_ns = u64_field_or(line, "total_cpu_ns", 0);
-      snapshot.span_stats.push_back(std::move(s));
-    } else if (type == "path") {
-      SpanStats s;
-      s.name = string_field(line, "path");
-      s.count = u64_field(line, "count");
-      s.total_ns = u64_field(line, "total_ns");
-      s.min_ns = u64_field(line, "min_ns");
-      s.max_ns = u64_field(line, "max_ns");
-      s.total_cpu_ns = u64_field_or(line, "total_cpu_ns", 0);
-      snapshot.path_stats.push_back(std::move(s));
-    } else if (type == "resource") {
-      snapshot.resource.sampled =
-          raw_field(line, "sampled") == std::string_view("true");
-      snapshot.resource.peak_rss_bytes = u64_field(line, "peak_rss_bytes");
-      snapshot.resource.current_rss_bytes =
-          u64_field(line, "current_rss_bytes");
-      snapshot.resource.cpu_user_ns = u64_field(line, "cpu_user_ns");
-      snapshot.resource.cpu_system_ns = u64_field(line, "cpu_system_ns");
-    } else {
-      malformed("unknown record type '" + type + "'");
-    }
-  }
-  return snapshot;
-}
-
-std::vector<SpanRecord> read_trace_events(std::string_view text) {
-  const std::uint64_t base = u64_field(text, "base_ns");
-  const std::size_t open = text.find("\"traceEvents\":[");
-  if (open == std::string_view::npos) malformed("missing traceEvents");
-  std::vector<SpanRecord> spans;
-  std::size_t pos = open;
-  while (true) {
-    const std::size_t begin = text.find('{', pos);
-    if (begin == std::string_view::npos) break;
-    const std::size_t end = text.find('}', begin);
-    if (end == std::string_view::npos) malformed("unterminated event");
-    // Events end with "}}": the inner args object closes first. Defensive
-    // parser: the subscript is bounds-guarded inline and malformed input
-    // already throws via malformed().
-    // vn2-lint: allow(unchecked-public-entry)
-    const std::size_t close = end + 1 < text.size() && text[end + 1] == '}'
-                                  ? end + 1
-                                  : end;
-    const std::string_view object = text.substr(begin, close - begin + 1);
-    SpanRecord span;
-    span.name = string_field(object, "name");
-    span.start_ns = base + micros_to_ns(double_field(object, "ts"));
-    span.duration_ns = micros_to_ns(double_field(object, "dur"));
-    span.thread = static_cast<std::uint32_t>(u64_field(object, "tid"));
-    span.depth = static_cast<std::uint32_t>(u64_field(object, "depth"));
-    span.cpu_ns = u64_field_or(object, "cpu_ns", 0);
-    span.path = string_field_or(object, "path", "");
-    spans.push_back(std::move(span));
-    pos = close + 1;
-  }
-  return spans;
 }
 
 }  // namespace vn2::telemetry

@@ -2,14 +2,14 @@
 // every writer emits through the Sink interface, and the CLI/bench layer
 // owns the actual file handles (vn2-lint io-in-library stays happy).
 //
-// Three formats:
-//  * write_json        — one pretty-printed JSON document (the snapshot
-//                        format behind `vn2 ... --telemetry out.json`).
-//  * write_json_lines  — one self-describing JSON object per line, easy
-//                        to grep/stream; read_json_lines parses it back.
+// Two formats, both written with the JSON codec in json.hpp:
+//  * write_json         — one pretty-printed JSON document (the snapshot
+//                         format behind `vn2 ... --telemetry out.json` and
+//                         `vn2 profile --json`); read_call_tree_json
+//                         (calltree.hpp) reads its call tree back.
 //  * write_trace_events — chrome://tracing / Perfetto "trace_event"
-//                        JSON with one complete ("ph":"X") event per raw
-//                        span; read_trace_events parses it back.
+//                         JSON with one complete ("ph":"X") event per raw
+//                         span (`--telemetry-trace`).
 #pragma once
 
 #include <string>
@@ -37,16 +37,6 @@ class StringSink : public Sink {
 };
 
 void write_json(Sink& sink, const Snapshot& snapshot);
-void write_json_lines(Sink& sink, const Snapshot& snapshot);
 void write_trace_events(Sink& sink, const Snapshot& snapshot);
-
-/// Parses the output of write_json_lines back into a Snapshot (counters,
-/// gauges, histogram summaries, span stats; raw spans are not part of the
-/// json-lines format). Throws std::runtime_error on malformed input.
-[[nodiscard]] Snapshot read_json_lines(std::string_view text);
-
-/// Parses the output of write_trace_events back into raw span records.
-/// Throws std::runtime_error on malformed input.
-[[nodiscard]] std::vector<SpanRecord> read_trace_events(std::string_view text);
 
 }  // namespace vn2::telemetry

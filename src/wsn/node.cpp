@@ -1,6 +1,7 @@
 #include "wsn/node.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 namespace vn2::wsn {
@@ -31,8 +32,8 @@ void Node::reboot(Time now) {
   beacon_seq_ = 0;
   data_seq_ = 0;
   queue_.clear();
-  duplicate_fifo_.clear();
-  duplicate_set_.clear();
+  duplicate_count_ = 0;
+  duplicate_next_ = 0;
   retransmit_count = 0;
   sending = false;
   channel_activity = 0.0;
@@ -108,16 +109,16 @@ void Node::pop_front() {
 bool Node::check_duplicate(NodeId origin, std::uint32_t seq) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(origin) << 32) | seq;
-  if (duplicate_set_.contains(key)) {
+  // Only filled slots are searched, so an empty slot never matches key 0.
+  const auto filled = duplicate_keys_.begin() +
+                      static_cast<std::ptrdiff_t>(duplicate_count_);
+  if (std::find(duplicate_keys_.begin(), filled, key) != filled) {
     bump(MetricId::kDuplicateCounter);
     return true;
   }
-  duplicate_set_.insert(key);
-  duplicate_fifo_.push_back(key);
-  if (duplicate_fifo_.size() > params_.duplicate_cache_size) {
-    duplicate_set_.erase(duplicate_fifo_.front());
-    duplicate_fifo_.pop_front();
-  }
+  duplicate_keys_[duplicate_next_] = key;
+  duplicate_next_ = (duplicate_next_ + 1) % kDuplicateCacheSize;
+  duplicate_count_ = std::min(duplicate_count_ + 1, kDuplicateCacheSize);
   return false;
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_set>
 
 #include "metrics/schema.hpp"
 #include "wsn/neighbor_table.hpp"
@@ -38,11 +37,13 @@ struct NodeParams {
   double clock_drift_coeff = 2.0e-5;
   std::size_t queue_capacity = 12;
   std::size_t max_retransmissions = 30;  ///< Paper: drop after 30 tries.
-  std::size_t duplicate_cache_size = 64;
 };
 
 class Node {
  public:
+  /// (origin, seq) keys the duplicate cache remembers.
+  static constexpr std::size_t kDuplicateCacheSize = 64;
+
   Node(NodeId id, Position position, NodeParams params);
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
@@ -113,8 +114,9 @@ class Node {
   void pop_front();
 
   // --- duplicate suppression -----------------------------------------------
-  /// Returns true (and bumps Duplicate_counter) if (origin, seq) was already
-  /// seen; otherwise remembers it.
+  /// Returns true (and bumps Duplicate_counter) if (origin, seq) is among
+  /// the last kDuplicateCacheSize keys remembered; otherwise remembers it,
+  /// forgetting the oldest once the cache is full.
   bool check_duplicate(NodeId origin, std::uint32_t seq);
 
   // --- in-flight bookkeeping (owned by Simulator, stored here) --------------
@@ -146,8 +148,12 @@ class Node {
   std::uint32_t data_seq_ = 0;
 
   std::deque<DataPacket> queue_;
-  std::deque<std::uint64_t> duplicate_fifo_;
-  std::unordered_set<std::uint64_t> duplicate_set_;
+  // The duplicate cache: a ring searched linearly. The first
+  // duplicate_count_ slots hold keys; duplicate_next_ is the slot the next
+  // key overwrites, which is the oldest once the ring is full.
+  std::array<std::uint64_t, kDuplicateCacheSize> duplicate_keys_{};
+  std::size_t duplicate_count_ = 0;
+  std::size_t duplicate_next_ = 0;
 };
 
 }  // namespace vn2::wsn

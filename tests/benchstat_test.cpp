@@ -207,6 +207,12 @@ TEST(RecordSchema, MalformedInputThrowsWithPosition) {
                std::runtime_error);
   EXPECT_THROW(vn2::benchstat::read_record("{\"bench\": \"x\"} trailing"),
                std::runtime_error);
+  // A number must parse whole: "1.0.5" is an error, not 1.
+  EXPECT_THROW(vn2::benchstat::read_record(
+                   "{\"schema_version\": 1, \"bench\": \"hand\", \"cases\": "
+                   "[{\"name\": \"hot\", \"metrics\": [{\"name\": "
+                   "\"seconds\", \"median\": 1.0.5}]}]}"),
+               std::runtime_error);
 }
 
 TEST(RecordSchema, BaselineEntryWithStatsOnlySurvives) {

@@ -165,7 +165,36 @@ TEST_F(CallTreeTest, SnapshotJsonRoundTripsThroughReader) {
 
 TEST_F(CallTreeTest, ReaderRejectsDocumentsWithoutCallTree) {
   EXPECT_THROW(read_call_tree_json("{\"spans\": {}}"), std::runtime_error);
-  EXPECT_THROW(read_call_tree_json(""), std::invalid_argument);
+  EXPECT_THROW(read_call_tree_json(""), std::runtime_error);
+}
+
+/// A one-entry snapshot whose wall_ns field holds `wall` verbatim.
+std::string snapshot_with_wall(const std::string& wall) {
+  return "{\"call_tree\": {\"train\": {\"count\": 1, \"wall_ns\": " + wall +
+         ", \"cpu_ns\": 2, \"excl_wall_ns\": 3, \"excl_cpu_ns\": 4}}}";
+}
+
+TEST_F(CallTreeTest, ReaderRejectsMalformedSnapshots) {
+  const std::string good = snapshot_with_wall("5");
+  ASSERT_EQ(read_call_tree_json(good).size(), 1u);
+  for (const std::string& bad :
+       {snapshot_with_wall("5.5"), snapshot_with_wall("9abc"),
+        snapshot_with_wall("-1"), snapshot_with_wall("\"5\""), good + " x",
+        good.substr(0, good.size() - 1),
+        std::string("{\"call_tree\": {\"train\": {\"count\": 1}}}")})
+    EXPECT_THROW((void)read_call_tree_json(bad), std::runtime_error) << bad;
+}
+
+TEST_F(CallTreeTest, ReaderReadsCountsInExponentForm) {
+  const std::vector<PathProfile> parsed =
+      read_call_tree_json(snapshot_with_wall("5.9e9"));
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].path, "train");
+  EXPECT_EQ(parsed[0].count, 1u);
+  EXPECT_EQ(parsed[0].wall_ns, 5900000000u);
+  EXPECT_EQ(parsed[0].cpu_ns, 2u);
+  EXPECT_EQ(parsed[0].excl_wall_ns, 3u);
+  EXPECT_EQ(parsed[0].excl_cpu_ns, 4u);
 }
 
 TEST_F(CallTreeTest, RenderShowsIndentedPathsAndHandlesEmpty) {

@@ -50,15 +50,20 @@ fi
 grep -q '"call_tree"' "$WORK/prof_stdout.json"
 "$VN2" profile --scenario tiny --nodes 12 --days 0.05 --seed 9 --rank 5 \
     | grep -q "spans dropped:"
-# Self-diff of a snapshot is always clean (exit 0), via both the embedded
-# command and the standalone tool when it sits next to the CLI binary.
+# Self-diff of a snapshot is always clean (exit 0).
 "$VN2" profile --diff "$WORK/prof_stdout.json" "$WORK/prof_stdout.json" \
     | grep -q "verdict: ok"
-PROFDIFF="$(dirname "$VN2")/vn2_profdiff"
-if [ -x "$PROFDIFF" ]; then
-  "$PROFDIFF" "$WORK/prof_stdout.json" "$WORK/prof_stdout.json" \
-      | grep -q "verdict: ok"
+# A snapshot cut short (its closing brace gone) is an input error: exit 2,
+# naming the parse error.
+sed '$d' "$WORK/prof_stdout.json" > "$WORK/prof_truncated.json"
+STATUS=0
+"$VN2" profile --diff "$WORK/prof_stdout.json" "$WORK/prof_truncated.json" \
+    > /dev/null 2>"$WORK/diff_err.txt" || STATUS=$?
+if [ "$STATUS" -ne 2 ]; then
+  echo "expected exit 2 for a truncated snapshot, got $STATUS" >&2
+  exit 1
 fi
+grep -q "parse error" "$WORK/diff_err.txt"
 # Unknown scenarios name the valid ones in the error.
 if "$VN2" profile --scenario bogus 2>"$WORK/scen_err.txt"; then
   echo "expected usage error for unknown scenario" >&2

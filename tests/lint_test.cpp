@@ -6,8 +6,7 @@
 //
 // The v2 additions cover: bit-compatibility of the legacy rules with the
 // v1 line-based engine (exact line/rule tuples), the four token/scope
-// rules, SARIF round-tripping, the baseline ratchet, and lint_main's
-// 0/1/2 exit-code contract.
+// rules, and lint_main's 0/1/2 exit-code contract.
 #include "vn2_lint.hpp"
 
 #include <gtest/gtest.h>
@@ -20,8 +19,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "lint/sarif.hpp"
 
 namespace vn2::lint {
 namespace {
@@ -260,16 +257,6 @@ TEST(Lint, RuleCatalogueIsStable) {
   EXPECT_EQ(std::set<std::string>(ids.begin(), ids.end()), expected);
 }
 
-TEST(Lint, RuleCatalogueDescribesEveryRule) {
-  const auto ids = rule_ids();
-  const auto catalogue = rule_catalogue();
-  ASSERT_EQ(catalogue.size(), ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(catalogue[i].first, ids[i]);
-    EXPECT_FALSE(catalogue[i].second.empty()) << ids[i];
-  }
-}
-
 // ---------------------------------------------------------------------------
 // v1 bit-compatibility: the v2 token engine must report the exact same
 // (line, rule) tuples on the legacy fixtures as the line-based v1 engine
@@ -470,115 +457,7 @@ TEST(Lint, PublicApiCollectionFindsHeaderDeclarations) {
 }
 
 // ---------------------------------------------------------------------------
-// SARIF interchange and the baseline ratchet.
-
-std::vector<Finding> sample_findings() {
-  return {
-      {"src/core/bad.cpp", 7, "nondeterminism-random", "rand() in library"},
-      {"src/linalg/bad.cpp", 3, "float-in-numeric", "float in kernel"},
-  };
-}
-
-TEST(Sarif, RoundTripPreservesFindings) {
-  const auto original = sample_findings();
-  std::string error;
-  const auto parsed = findings_from_sarif(to_sarif(original), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_EQ(parsed->size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ((*parsed)[i].file, original[i].file);
-    EXPECT_EQ((*parsed)[i].line, original[i].line);
-    EXPECT_EQ((*parsed)[i].rule, original[i].rule);
-    EXPECT_EQ((*parsed)[i].message, original[i].message);
-  }
-}
-
-TEST(Sarif, EmitsSarif210Shape) {
-  const std::string log = to_sarif(sample_findings());
-  EXPECT_NE(log.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(log.find("sarif-2.1.0.json"), std::string::npos);
-  EXPECT_NE(log.find("\"name\": \"vn2-lint\""), std::string::npos);
-  EXPECT_NE(log.find("\"ruleId\": \"nondeterminism-random\""),
-            std::string::npos);
-  EXPECT_NE(log.find("\"startLine\": 7"), std::string::npos);
-  // The full rule catalogue ships in the driver metadata even when a rule
-  // did not fire, so code-scanning UIs can show descriptions.
-  for (const std::string& id : rule_ids())
-    EXPECT_NE(log.find("\"id\": \"" + id + "\""), std::string::npos) << id;
-}
-
-TEST(Sarif, EscapesMessageText) {
-  const std::vector<Finding> findings = {
-      {"src/core/bad.cpp", 1, "naked-new", "a \"quoted\"\nmessage\twith\\"}};
-  std::string error;
-  const auto parsed = findings_from_sarif(to_sarif(findings), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->front().message, findings.front().message);
-}
-
-TEST(Sarif, StrictParserRejectsMalformedLogs) {
-  std::string error;
-  EXPECT_FALSE(findings_from_sarif("", &error).has_value());
-  EXPECT_FALSE(findings_from_sarif("not json", &error).has_value());
-  EXPECT_FALSE(findings_from_sarif("{}", &error).has_value());
-  EXPECT_FALSE(
-      findings_from_sarif(R"({"version": "1.0.0", "runs": []})", &error)
-          .has_value());
-  // Truncated mid-structure.
-  const std::string log = to_sarif(sample_findings());
-  EXPECT_FALSE(
-      findings_from_sarif(log.substr(0, log.size() / 2), &error).has_value());
-}
-
-TEST(Baseline, PartitionsActiveSuppressedAndStale) {
-  const auto current = sample_findings();
-  const std::vector<Finding> baseline = {
-      // Matches current[0] by (rule, file, line); message may differ.
-      {"src/core/bad.cpp", 7, "nondeterminism-random", "older wording"},
-      // Matches nothing any more: stale, must be removed.
-      {"src/core/gone.cpp", 9, "naked-new", "fixed long ago"},
-  };
-  const BaselineDiff diff = apply_baseline(current, baseline);
-  ASSERT_EQ(diff.suppressed.size(), 1u);
-  EXPECT_EQ(diff.suppressed[0].file, "src/core/bad.cpp");
-  ASSERT_EQ(diff.active.size(), 1u);
-  EXPECT_EQ(diff.active[0].rule, "float-in-numeric");
-  ASSERT_EQ(diff.stale.size(), 1u);
-  EXPECT_EQ(diff.stale[0].file, "src/core/gone.cpp");
-}
-
-TEST(Baseline, EntriesConsumeAtMostOneFinding) {
-  // Two identical findings, one baseline entry: one suppressed, one active.
-  const std::vector<Finding> current = {
-      {"src/core/bad.cpp", 7, "naked-new", "first"},
-      {"src/core/bad.cpp", 7, "naked-new", "second"},
-  };
-  const std::vector<Finding> baseline = {
-      {"src/core/bad.cpp", 7, "naked-new", "grandfathered"}};
-  const BaselineDiff diff = apply_baseline(current, baseline);
-  EXPECT_EQ(diff.suppressed.size(), 1u);
-  EXPECT_EQ(diff.active.size(), 1u);
-  EXPECT_TRUE(diff.stale.empty());
-}
-
-TEST(Baseline, RepoBaselineIsEmpty) {
-  // The checked-in baseline's target state: no grandfathered findings. If
-  // a finding must be waived, prefer an inline justified allow() comment;
-  // the baseline exists to ratchet legacy debt down, not to grow.
-  const auto path =
-      std::filesystem::path(VN2_LINT_REPO_ROOT) / "lint_baseline.sarif";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string error;
-  const auto parsed = findings_from_sarif(buffer.str(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_TRUE(parsed->empty());
-}
-
-// ---------------------------------------------------------------------------
-// lint_main exit codes: 0 clean, 1 findings or stale baseline, 2 usage/IO.
+// lint_main exit codes: 0 clean, 1 findings, 2 usage/IO.
 
 int run_lint_main(const std::vector<std::string>& args) {
   std::vector<const char*> argv = {"vn2_lint"};
@@ -630,63 +509,6 @@ TEST_F(LintMainTest, MissingRootExitsTwo) {
   EXPECT_EQ(run_lint_main(
                 {"--root", (root_ / "does_not_exist").string()}),
             2);
-}
-
-TEST_F(LintMainTest, MissingBaselineFileExitsTwo) {
-  write("src/core/ok.cpp", "int answer() { return 42; }\n");
-  EXPECT_EQ(run_lint_main({"--root", root_.string(), "--baseline",
-                           (root_ / "nope.sarif").string()}),
-            2);
-}
-
-TEST_F(LintMainTest, InvalidBaselineExitsTwo) {
-  write("src/core/ok.cpp", "int answer() { return 42; }\n");
-  write("baseline.sarif", "this is not SARIF");
-  EXPECT_EQ(run_lint_main({"--root", root_.string(), "--baseline",
-                           (root_ / "baseline.sarif").string()}),
-            2);
-}
-
-TEST_F(LintMainTest, BaselineGrandfathersFindingsToExitZero) {
-  write("src/core/bad.cpp", "int f() { return rand(); }\n");
-  const std::vector<Finding> entry = {{"src/core/bad.cpp", 1,
-                                       "nondeterminism-random",
-                                       "grandfathered"}};
-  write("baseline.sarif", to_sarif(entry));
-  EXPECT_EQ(run_lint_main({"--root", root_.string(), "--baseline",
-                           (root_ / "baseline.sarif").string()}),
-            0);
-}
-
-TEST_F(LintMainTest, StaleBaselineEntryExitsOne) {
-  // The ratchet: a fixed finding still listed in the baseline is an error,
-  // so the baseline can only ever shrink.
-  write("src/core/ok.cpp", "int answer() { return 42; }\n");
-  const std::vector<Finding> entry = {{"src/core/bad.cpp", 1,
-                                       "nondeterminism-random",
-                                       "fixed but still listed"}};
-  write("baseline.sarif", to_sarif(entry));
-  EXPECT_EQ(run_lint_main({"--root", root_.string(), "--baseline",
-                           (root_ / "baseline.sarif").string()}),
-            1);
-}
-
-TEST_F(LintMainTest, SarifOutputRoundTripsThroughDisk) {
-  write("src/core/bad.cpp", "int f() { return rand(); }\n");
-  const auto out = root_ / "out.sarif";
-  EXPECT_EQ(run_lint_main(
-                {"--root", root_.string(), "--sarif", out.string()}),
-            1);
-  std::ifstream in(out, std::ios::binary);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string error;
-  const auto parsed = findings_from_sarif(buffer.str(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  ASSERT_EQ(parsed->size(), 1u);
-  EXPECT_EQ(parsed->front().file, "src/core/bad.cpp");
-  EXPECT_EQ(parsed->front().rule, "nondeterminism-random");
 }
 
 TEST_F(LintMainTest, ToolsDirectoryIsLinted) {

@@ -104,17 +104,18 @@ TEST(Node, DuplicateDetection) {
   EXPECT_DOUBLE_EQ(node.metric(MetricId::kDuplicateCounter), 1.0);
   EXPECT_FALSE(node.check_duplicate(3, 101));
   EXPECT_FALSE(node.check_duplicate(4, 100));  // Different origin.
+  EXPECT_FALSE(node.check_duplicate(0, 0));  // An empty slot is not key 0.
+  EXPECT_TRUE(node.check_duplicate(0, 0));
 }
 
 TEST(Node, DuplicateCacheEvictsOldest) {
-  NodeParams params;
-  params.duplicate_cache_size = 4;
-  Node node(1, {0, 0}, params);
-  for (std::uint32_t s = 0; s < 5; ++s) node.check_duplicate(1, s);
-  // Seq 0 was evicted by seq 4 → seen again as fresh.
+  Node node = make_node();
+  constexpr auto kFull = static_cast<std::uint32_t>(Node::kDuplicateCacheSize);
+  for (std::uint32_t s = 0; s <= kFull; ++s) node.check_duplicate(1, s);
+  // Seq 0 was evicted by seq kFull → seen again as fresh.
   EXPECT_FALSE(node.check_duplicate(1, 0));
-  // Seq 4 is still cached.
-  EXPECT_TRUE(node.check_duplicate(1, 4));
+  // Seq kFull is still cached.
+  EXPECT_TRUE(node.check_duplicate(1, kFull));
 }
 
 TEST(Node, FailStopsEverything) {

@@ -131,8 +131,8 @@ TEST(ProfDiffTest, NegativeFloorThrows) {
 
 TEST(ProfDiffTest, FixturePairFlowsThroughSnapshotJson) {
   // Two hand-built snapshots with one injected slowdown, serialized with
-  // the real writer and re-read with the real reader — the same route the
-  // CLI and vn2_profdiff take.
+  // the real writer and re-read with the real reader — the same route
+  // `vn2 profile --diff` takes.
   const auto snapshot_json = [](std::uint64_t nmf_ns) {
     Snapshot snapshot;
     snapshot.path_stats.push_back(

@@ -1,5 +1,5 @@
 // Tests for the telemetry subsystem: registry thread-safety, span nesting,
-// both sink formats round-tripping, the runtime and compile-time switches,
+// both sink formats parsing back whole, the runtime and compile-time switches,
 // and an end-to-end pipeline run leaving nonzero counters in every
 // instrumented family. All tests share the process-global registry, so
 // each starts with reset().
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "nmf/nmf.hpp"
 #include "scenario/scenario.hpp"
 #include "support/synthetic.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/sink.hpp"
 #include "trace/trace.hpp"
@@ -113,32 +115,51 @@ TEST_F(TelemetryTest, SpanCapacityDropsAreCounted) {
   EXPECT_EQ(snapshot.span_stats[0].count, 6u);
 }
 
-TEST_F(TelemetryTest, JsonLinesRoundTrips) {
+TEST_F(TelemetryTest, SnapshotJsonParsesWhole) {
   Registry::global().counter("test.count").add(42);
   Registry::global().gauge("test.gauge").set(2.5);
+  Registry::global().gauge("test.nan").set(std::nan(""));
   Histogram& h = Registry::global().histogram("test.hist");
   h.record(3);
   h.record(900);
   { ScopedSpan span("test.span"); }
-  const Snapshot before = Registry::global().snapshot();
+  const Snapshot snapshot = Registry::global().snapshot();
 
   StringSink sink;
-  write_json_lines(sink, before);
-  const Snapshot after = read_json_lines(sink.str());
+  write_json(sink, snapshot);
+  const json::Value doc = json::parse(sink.str());
 
-  EXPECT_EQ(after.compiled_in, before.compiled_in);
-  EXPECT_EQ(after.counters, before.counters);
-  EXPECT_EQ(after.gauges, before.gauges);
-  ASSERT_EQ(after.histograms.size(), 1u);
-  EXPECT_EQ(after.histograms[0].first, "test.hist");
-  EXPECT_EQ(after.histograms[0].second.count, 2u);
-  EXPECT_EQ(after.histograms[0].second.sum, 903u);
-  EXPECT_EQ(after.histograms[0].second.min, 3u);
-  EXPECT_EQ(after.histograms[0].second.max, 900u);
-  ASSERT_EQ(after.span_stats.size(), before.span_stats.size());
-  EXPECT_EQ(after.span_stats[0].name, "test.span");
-  EXPECT_EQ(after.span_stats[0].count, before.span_stats[0].count);
-  EXPECT_EQ(after.span_stats[0].total_ns, before.span_stats[0].total_ns);
+  EXPECT_EQ(doc.get("telemetry_compiled")->boolean, snapshot.compiled_in);
+  const json::Value* counters = doc.get("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_EQ(counters->members.size(), snapshot.counters.size());
+  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
+    EXPECT_EQ(counters->members[i].first, snapshot.counters[i].first);
+    EXPECT_EQ(counters->members[i].second.num,
+              static_cast<double>(snapshot.counters[i].second));
+  }
+  const json::Value* gauges = doc.get("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_EQ(gauges->get("test.gauge")->num, 2.5);
+  // JSON has no NaN: the writer emits null, and the document still parses.
+  EXPECT_EQ(gauges->get("test.nan")->kind, json::Value::Kind::kNull);
+  const json::Value* hist = doc.get("histograms")->get("test.hist");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->get("count")->num, 2.0);
+  EXPECT_EQ(hist->get("sum")->num, 903.0);
+  EXPECT_EQ(hist->get("min")->num, 3.0);
+  EXPECT_EQ(hist->get("max")->num, 900.0);
+  EXPECT_EQ(hist->get("mean")->num, 451.5);
+  ASSERT_EQ(snapshot.span_stats.size(), 1u);
+  const json::Value* span = doc.get("spans")->get("test.span");
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(span->get("count")->num, 1.0);
+  EXPECT_EQ(span->get("total_ns")->num,
+            static_cast<double>(snapshot.span_stats[0].total_ns));
+  EXPECT_EQ(doc.get("call_tree")->members.size(),
+            snapshot.path_stats.size());
+  EXPECT_TRUE(doc.get("resource")->get("sampled") != nullptr);
+  EXPECT_EQ(doc.get("spans_dropped")->num, 0.0);
 }
 
 TEST_F(TelemetryTest, TraceEventsRoundTrip) {
@@ -149,28 +170,29 @@ TEST_F(TelemetryTest, TraceEventsRoundTrip) {
 
   StringSink sink;
   write_trace_events(sink, snapshot);
-  const std::vector<SpanRecord> parsed = read_trace_events(sink.str());
+  const json::Value doc = json::parse(sink.str());
 
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].name, "alpha");
-  EXPECT_EQ(parsed[0].path, "alpha");
-  EXPECT_EQ(parsed[0].start_ns, 1000u);
-  EXPECT_EQ(parsed[0].duration_ns, 250u);
-  EXPECT_EQ(parsed[0].thread, 0u);
-  EXPECT_EQ(parsed[0].depth, 0u);
-  EXPECT_EQ(parsed[1].name, "beta.gamma");
-  EXPECT_EQ(parsed[1].path, "alpha/beta.gamma");
-  EXPECT_EQ(parsed[1].start_ns, 1250u);
-  EXPECT_EQ(parsed[1].duration_ns, 1u);
-  EXPECT_EQ(parsed[1].thread, 1u);
-  EXPECT_EQ(parsed[1].depth, 2u);
-}
-
-TEST_F(TelemetryTest, MalformedInputThrows) {
-  EXPECT_THROW((void)read_json_lines("{\"type\": \"nonsense\"}\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)read_trace_events("not json at all"),
-               std::runtime_error);
+  // Times are microseconds after base_ns, the earliest span's start.
+  EXPECT_EQ(doc.get("base_ns")->num, 1000.0);
+  const json::Value* events = doc.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->items.size(), 2u);
+  const json::Value& alpha = events->items[0];
+  EXPECT_EQ(alpha.get("name")->str, "alpha");
+  EXPECT_EQ(alpha.get("ph")->str, "X");
+  EXPECT_DOUBLE_EQ(alpha.get("ts")->num, 0.0);
+  EXPECT_DOUBLE_EQ(alpha.get("dur")->num, 0.25);
+  EXPECT_EQ(alpha.get("tid")->num, 0.0);
+  EXPECT_EQ(alpha.get("args")->get("depth")->num, 0.0);
+  EXPECT_EQ(alpha.get("args")->get("path")->str, "alpha");
+  const json::Value& beta = events->items[1];
+  EXPECT_EQ(beta.get("name")->str, "beta.gamma");
+  EXPECT_EQ(beta.get("ph")->str, "X");
+  EXPECT_DOUBLE_EQ(beta.get("ts")->num, 0.25);
+  EXPECT_DOUBLE_EQ(beta.get("dur")->num, 0.001);
+  EXPECT_EQ(beta.get("tid")->num, 1.0);
+  EXPECT_EQ(beta.get("args")->get("depth")->num, 2.0);
+  EXPECT_EQ(beta.get("args")->get("path")->str, "alpha/beta.gamma");
 }
 
 TEST_F(TelemetryTest, MacrosHonourCompileAndRuntimeSwitches) {

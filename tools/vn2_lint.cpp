@@ -5,7 +5,6 @@
 //                           line view + suppression sets
 //   tools/lint/scope.cpp  — bracket matching, function/lambda/loop
 //                           extraction, header declaration collection
-//   tools/lint/sarif.cpp  — SARIF 2.1.0 writer/parser + baseline diff
 //   this file             — the rules, the tree walk, and the CLI
 //
 // The eleven v1 line rules still match against the blanked line view
@@ -19,7 +18,6 @@
 #include "vn2_lint.hpp"
 
 #include "lint/lexer.hpp"
-#include "lint/sarif.hpp"
 #include "lint/scope.hpp"
 
 // GCC attributes -Wmaybe-uninitialized false positives to <functional>
@@ -671,44 +669,13 @@ void apply_suppressions(const TokenStream& src,
 
 std::vector<std::string> rule_ids() {
   std::vector<std::string> ids;
-  for (const auto& [id, description] : rule_catalogue()) {
-    (void)description;
-    ids.push_back(id);
-  }
+  for (const PatternRule& rule : pattern_rules()) ids.emplace_back(rule.id);
+  for (const char* id :
+       {"include-guard", "parallel-capture", "parallel-inventory",
+        "unchecked-public-entry", "lock-in-parallel-body", "alloc-in-kernel",
+        "throw-across-parallel"})
+    ids.emplace_back(id);
   return ids;
-}
-
-std::vector<std::pair<std::string, std::string>> rule_catalogue() {
-  std::vector<std::pair<std::string, std::string>> rules;
-  for (const PatternRule& rule : pattern_rules())
-    rules.emplace_back(rule.id, rule.message);
-  rules.emplace_back("include-guard",
-                     "header lacks #pragma once or an include guard");
-  rules.emplace_back(
-      "parallel-capture",
-      "write to a '&'-captured local inside a parallel_for body; writes "
-      "must go to index-owned slots");
-  rules.emplace_back(
-      "parallel-inventory",
-      "parallel_for call site not listed in DESIGN.md's threading "
-      "inventory");
-  rules.emplace_back(
-      "unchecked-public-entry",
-      "public API definition uses a parameter before any "
-      "VN2_CHECK/VN2_REQUIRE contract check");
-  rules.emplace_back(
-      "lock-in-parallel-body",
-      "mutex/lock acquisition inside a parallel_for body; the "
-      "deterministic threading model forbids cross-task synchronization");
-  rules.emplace_back(
-      "alloc-in-kernel",
-      "allocation inside a linalg kernel loop body; hot kernels must be "
-      "allocation-free");
-  rules.emplace_back(
-      "throw-across-parallel",
-      "raw throw inside a parallel_for body; route errors through the "
-      "exception-capture idiom");
-  return rules;
 }
 
 std::optional<std::set<std::string>> parse_threading_inventory(
@@ -857,16 +824,10 @@ std::vector<Finding> lint_tree(const std::filesystem::path& root,
 namespace {
 
 int usage(std::ostream& out) {
-  out << "usage: vn2_lint [--root DIR] [--list-rules] [--sarif OUT]\n"
-         "                [--baseline FILE] [DIR...]\n"
+  out << "usage: vn2_lint [--root DIR] [--list-rules] [DIR...]\n"
          "Lints src/, tools/, bench/, examples/ under --root\n"
          "(default: current directory) or the listed DIRs.\n"
-         "  --sarif OUT      also write findings as SARIF 2.1.0\n"
-         "  --baseline FILE  suppress findings listed in a SARIF\n"
-         "                   baseline; stale entries are errors (the\n"
-         "                   baseline may only shrink)\n"
-         "Exit codes: 0 clean, 1 findings (or stale baseline), 2\n"
-         "usage/IO error.\n";
+         "Exit codes: 0 clean, 1 findings, 2 usage/IO error.\n";
   return 2;
 }
 
@@ -880,16 +841,10 @@ void print_finding(const Finding& f) {
 int lint_main(int argc, const char* const* argv) {
   std::filesystem::path root = std::filesystem::current_path();
   std::vector<std::string> dirs;
-  std::string sarif_out;
-  std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--sarif" && i + 1 < argc) {
-      sarif_out = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
     } else if (arg == "--list-rules") {
       for (const std::string& id : rule_ids()) std::cout << id << '\n';
       return 0;
@@ -908,60 +863,17 @@ int lint_main(int argc, const char* const* argv) {
     return 2;
   }
 
-  std::vector<Finding> baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "vn2_lint: cannot read baseline " << baseline_path
-                << '\n';
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string error;
-    const auto parsed = findings_from_sarif(buffer.str(), &error);
-    if (!parsed) {
-      std::cerr << "vn2_lint: invalid SARIF baseline " << baseline_path
-                << ": " << error << '\n';
-      return 2;
-    }
-    baseline = *parsed;
-  }
-
   const auto findings = lint_tree(root, dirs);
-  const bool io_failed =
-      std::any_of(findings.begin(), findings.end(),
-                  [](const Finding& f) { return f.rule == "io-error"; });
-  const BaselineDiff diff = apply_baseline(findings, baseline);
-
-  if (!sarif_out.empty()) {
-    std::ofstream out(sarif_out, std::ios::binary);
-    out << to_sarif(diff.active);
-    if (!out) {
-      std::cerr << "vn2_lint: cannot write SARIF to " << sarif_out << '\n';
-      return 2;
-    }
-  }
-
-  for (const Finding& f : diff.active) print_finding(f);
-  for (const Finding& f : diff.stale)
-    std::cout << f.file << ':' << f.line << ": [baseline-stale] fixed "
-              << "finding still listed in the baseline; remove the '"
-              << f.rule << "' entry (the baseline may only shrink)\n";
-  if (!diff.suppressed.empty())
-    std::cout << "vn2-lint: " << diff.suppressed.size()
-              << " grandfathered finding"
-              << (diff.suppressed.size() == 1 ? "" : "s")
-              << " suppressed by the baseline\n";
-
-  if (io_failed) return 2;
-  const std::size_t failures = diff.active.size() + diff.stale.size();
-  if (failures == 0) {
+  for (const Finding& f : findings) print_finding(f);
+  if (std::any_of(findings.begin(), findings.end(),
+                  [](const Finding& f) { return f.rule == "io-error"; }))
+    return 2;
+  if (findings.empty()) {
     std::cout << "vn2-lint: clean\n";
     return 0;
   }
-  std::cout << "vn2-lint: " << failures << " finding"
-            << (failures == 1 ? "" : "s") << '\n';
+  std::cout << "vn2-lint: " << findings.size() << " finding"
+            << (findings.size() == 1 ? "" : "s") << '\n';
   return 1;
 }
 

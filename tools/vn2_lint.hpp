@@ -14,18 +14,15 @@
 //
 //   some_call();  // vn2-lint: allow(<rule>[, <rule>...])
 //
-// or with the same comment alone on the line above. Grandfathered
-// findings can instead live in a checked-in SARIF baseline
-// (`lint_baseline.sarif`, see tools/lint/sarif.hpp) that may only ever
-// shrink. Exit codes: 0 clean, 1 unsuppressed or stale-baseline
-// findings, 2 usage or IO error.
+// or with the same comment alone on the line above. There is no baseline
+// of grandfathered findings: every unsuppressed finding fails the run.
+// Exit codes: 0 clean, 1 findings, 2 usage or IO error.
 #pragma once
 
 #include <filesystem>
 #include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace vn2::lint {
@@ -59,11 +56,6 @@ struct LintOptions {
 
 /// Identifiers of every rule, in reporting order.
 [[nodiscard]] std::vector<std::string> rule_ids();
-
-/// Every rule id paired with its one-line description (the SARIF
-/// reportingDescriptor text), in the same order as `rule_ids`.
-[[nodiscard]] std::vector<std::pair<std::string, std::string>>
-rule_catalogue();
 
 /// Parses the "### Threading inventory" section of DESIGN.md: every
 /// backtick-quoted path until the next heading. nullopt when the file or
@@ -100,8 +92,8 @@ rule_catalogue();
     const std::vector<std::string>& dirs = {});
 
 /// The CLI entry point (argv semantics of the vn2_lint binary), exposed
-/// so tests can assert exit-code behaviour: 0 clean, 1 findings (or a
-/// stale baseline entry), 2 usage/IO error.
+/// so tests can assert exit-code behaviour: 0 clean, 1 findings, 2
+/// usage/IO error.
 [[nodiscard]] int lint_main(int argc, const char* const* argv);
 
 }  // namespace vn2::lint
