@@ -145,21 +145,54 @@ class Parser {
         case 'f':
           v.str += '\f';
           break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("short \\u escape");
-          const char* first = text_.data() + pos_;
-          unsigned code = 0;
-          const auto [end, ec] = std::from_chars(first, first + 4, code, 16);
-          if (ec != std::errc{} || end != first + 4) fail("bad \\u escape");
-          pos_ += 4;
-          // The writers only escape control characters, so a single byte
-          // suffices; anything above is preserved as-is by quoted().
-          v.str += static_cast<char>(code);
+        case 'u':
+          append_utf8(v.str, parse_code_point());
           break;
-        }
         default:
           fail(std::string("bad escape '\\") + esc + "'");
       }
+    }
+  }
+
+  unsigned parse_hex4() {
+    if (pos_ + 4 > text_.size()) fail("short \\u escape");
+    const char* first = text_.data() + pos_;
+    unsigned code = 0;
+    const auto [end, ec] = std::from_chars(first, first + 4, code, 16);
+    if (ec != std::errc{} || end != first + 4) fail("bad \\u escape");
+    pos_ += 4;
+    return code;
+  }
+
+  /// The code point of a \u escape whose "\u" is already consumed. A high
+  /// surrogate must be followed by an escaped low one, and the pair names
+  /// one code point above U+FFFF; a lone surrogate is an error.
+  unsigned parse_code_point() {
+    const unsigned code = parse_hex4();
+    if (code >= 0xDC00 && code <= 0xDFFF) fail("lone low surrogate");
+    if (code < 0xD800 || code > 0xDBFF) return code;
+    if (text_.substr(pos_, 2) != "\\u") fail("lone high surrogate");
+    pos_ += 2;
+    const unsigned low = parse_hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("lone high surrogate");
+    return 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+  }
+
+  static void append_utf8(std::string& out, unsigned code) {
+    if (code < 0x80) {
+      out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      out += static_cast<char>(0xC0 | (code >> 6));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+      out += static_cast<char>(0xE0 | (code >> 12));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (code >> 18));
+      out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (code & 0x3F));
     }
   }
 

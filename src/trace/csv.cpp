@@ -1,10 +1,16 @@
 #include "trace/csv.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
+#include <vector>
 
 #include "telemetry/telemetry.hpp"
 
@@ -12,73 +18,196 @@ namespace vn2::trace {
 
 namespace {
 
-std::vector<std::string> split(const std::string& line, char sep) {
-  std::vector<std::string> out;
-  std::string field;
-  std::istringstream ss(line);
-  while (std::getline(ss, field, sep)) out.push_back(field);
-  return out;
+constexpr std::size_t kColumns = 3 + metrics::kMetricCount;
+
+/// An upper bound on one written field: "%.17g" of a double is at most 24
+/// characters, an unsigned 64-bit integer at most 20.
+constexpr std::size_t kFieldBytes = 32;
+constexpr std::size_t kRowBytes = kColumns * kFieldBytes;
+
+/// Throws "csv: line L, column C" followed by `what`.
+[[noreturn]] void reject(std::size_t line, std::size_t column,
+                         const std::string& what) {
+  VN2_COUNT("trace.csv.rejects");
+  throw std::runtime_error("csv: line " + std::to_string(line) + ", column " +
+                           std::to_string(column) + ": " + what);
 }
 
-double parse_double(const std::string& s) {
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    VN2_COUNT("trace.csv.rejects");
-    throw std::runtime_error("csv: malformed numeric field '" + s + "'");
+std::size_t count_fields(std::string_view text) {
+  return 1 + static_cast<std::size_t>(
+                 std::count(text.begin(), text.end(), ','));
+}
+
+/// Rejects a line that does not have kColumns fields, at its first missing
+/// or first extra column.
+[[noreturn]] void reject_column_count(std::string_view text,
+                                      std::size_t line) {
+  const std::size_t found = count_fields(text);
+  reject(line, std::min(found, kColumns) + 1,
+         "expected " + std::to_string(kColumns) + " columns, found " +
+             std::to_string(found));
+}
+
+/// Reads the fields of one row left to right. Each must parse whole with
+/// std::from_chars, and a double must be finite. The parse runs to the end
+/// of the row, but no number holds a ',', so a parse that stops at the
+/// next separator (or the row's end) has taken exactly that field.
+class RowParser {
+ public:
+  RowParser(std::string_view row, std::size_t line)
+      : next_(row.data()), end_(row.data() + row.size()), row_(row),
+        line_(line) {}
+
+  template <typename T>
+  T field() {
+    if (next_ == nullptr) reject_column_count(row_, line_);
+    ++column_;
+    T value{};
+    const auto [stop, ec] = std::from_chars(next_, end_, value);
+    const char* kind = nullptr;
+    if (ec == std::errc::result_out_of_range) {
+      kind = "out-of-range";
+    } else if (ec != std::errc{} || (stop != end_ && *stop != ',')) {
+      kind = "malformed";
+    } else if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(value)) kind = "non-finite";
+    }
+    if (kind != nullptr) reject_field(kind);
+    next_ = stop == end_ ? nullptr : stop + 1;
+    return value;
   }
+
+  /// Rejects a row with fields left over.
+  void finish() const {
+    if (next_ != nullptr) reject_column_count(row_, line_);
+  }
+
+ private:
+  [[noreturn]] void reject_field(const char* kind) const {
+    constexpr std::size_t kShown = 40;
+    const std::string_view field(next_, std::find(next_, end_, ',') - next_);
+    reject(line_, column_,
+           std::string(kind) + " field '" +
+               std::string(field.substr(0, kShown)) +
+               (field.size() > kShown ? "...'" : "'"));
+  }
+
+  const char* next_;  ///< Start of the next field; null after the last.
+  const char* end_;
+  std::string_view row_;
+  std::size_t line_;
+  std::size_t column_ = 0;
+};
+
+/// Writes "%.17g" of `value`, which is what an ostream at precision 17
+/// prints and reads back to the same bits.
+char* put(char* out, double value) {
+  return std::to_chars(out, out + kFieldBytes, value,
+                       std::chars_format::general, 17)
+      .ptr;
+}
+
+template <typename Int>
+char* put(char* out, Int value) {
+  return std::to_chars(out, out + kFieldBytes, value).ptr;
 }
 
 }  // namespace
 
 void write_trace_csv(std::ostream& os, const Trace& trace) {
-  os.precision(17);  // Round-trip exact doubles.
-  os << "node,epoch,time";
-  for (metrics::MetricId id : metrics::all_metrics()) os << ',' << name(id);
-  os << '\n';
+  std::string header = "node,epoch,time";
+  for (metrics::MetricId id : metrics::all_metrics())
+    (header += ',') += name(id);
+  header += '\n';
+  os.write(header.data(), static_cast<std::streamsize>(header.size()));
+
+  // Rows are formatted into one block, flushed once it holds
+  // kCsvBlockBytes; a row always starts with kRowBytes of room.
+  std::vector<char> block(kCsvBlockBytes + kRowBytes);
+  char* out = block.data();
+  const auto flush = [&] {
+    os.write(block.data(), out - block.data());
+    out = block.data();
+  };
   for (const NodeSeries& series : trace.nodes) {
     for (const Snapshot& snap : series.snapshots) {
-      os << series.node << ',' << snap.epoch << ',' << snap.time;
-      for (double v : snap.values) os << ',' << v;
-      os << '\n';
+      out = put(out, series.node);
+      *out++ = ',';
+      out = put(out, snap.epoch);
+      *out++ = ',';
+      out = put(out, snap.time);
+      for (double v : snap.values) {
+        *out++ = ',';
+        out = put(out, v);
+      }
+      *out++ = '\n';
+      if (out >= block.data() + kCsvBlockBytes) flush();
     }
   }
+  flush();
 }
 
 void write_trace_csv_file(const std::string& path, const Trace& trace) {
-  std::ofstream file(path);
+  std::ofstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("cannot open for write: " + path);
   write_trace_csv(file, trace);
+  file.close();
+  if (!file) throw std::runtime_error("cannot write: " + path);
 }
 
 Trace read_trace_csv(std::istream& is) {
-  std::string line;
-  if (!std::getline(is, line))
-    throw std::runtime_error("csv: empty trace file");
-  const auto header = split(line, ',');
-  if (header.size() != 3 + metrics::kMetricCount)
-    throw std::runtime_error("csv: unexpected column count in header");
-
   std::map<wsn::NodeId, NodeSeries> by_node;
+  std::size_t line = 0;
   std::size_t rows = 0;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto fields = split(line, ',');
-    if (fields.size() != 3 + metrics::kMetricCount) {
-      VN2_COUNT("trace.csv.rejects");
-      throw std::runtime_error("csv: unexpected column count in row");
+  const auto take_line = [&](std::string_view text) {
+    ++line;
+    if (!text.empty() && text.back() == '\r') text.remove_suffix(1);
+    if (line == 1) {  // The header: only its column count is checked.
+      if (count_fields(text) != kColumns) reject_column_count(text, line);
+      return;
     }
-    const auto node = static_cast<wsn::NodeId>(parse_double(fields[0]));
+    if (text.empty()) return;
+    RowParser row(text, line);
+    const auto node = row.field<wsn::NodeId>();
     Snapshot snap;
-    snap.epoch = static_cast<std::uint64_t>(parse_double(fields[1]));
-    snap.time = parse_double(fields[2]);
-    for (std::size_t m = 0; m < metrics::kMetricCount; ++m)
-      snap.values[m] = parse_double(fields[3 + m]);
+    snap.epoch = row.field<std::uint64_t>();
+    snap.time = row.field<double>();
+    for (double& value : snap.values) value = row.field<double>();
+    row.finish();
     NodeSeries& series = by_node[node];
     series.node = node;
     series.snapshots.push_back(snap);
     ++rows;
+  };
+
+  // Lines are taken from each block in place; only a line cut by a block
+  // boundary is copied, into `carry`, until its end arrives.
+  std::vector<char> block(kCsvBlockBytes);
+  std::string carry;
+  while (is) {
+    is.read(block.data(), static_cast<std::streamsize>(block.size()));
+    const char* next = block.data();
+    const char* end = next + is.gcount();
+    while (next != end) {
+      const auto* newline =
+          static_cast<const char*>(std::memchr(next, '\n', end - next));
+      if (newline == nullptr) {
+        carry.append(next, end);
+        break;
+      }
+      if (carry.empty()) {
+        take_line({next, static_cast<std::size_t>(newline - next)});
+      } else {
+        carry.append(next, newline);
+        take_line(carry);
+        carry.clear();
+      }
+      next = newline + 1;
+    }
   }
+  if (is.bad()) throw std::runtime_error("csv: read error");
+  if (!carry.empty()) take_line(carry);
+  if (line == 0) throw std::runtime_error("csv: empty trace file");
   VN2_COUNT_N("trace.csv.rows", rows);
 
   Trace trace;
@@ -96,34 +225,9 @@ Trace read_trace_csv(std::istream& is) {
 }
 
 Trace read_trace_csv_file(const std::string& path) {
-  std::ifstream file(path);
+  std::ifstream file(path, std::ios::binary);
   if (!file) throw std::runtime_error("cannot open for read: " + path);
   return read_trace_csv(file);
-}
-
-void write_matrix_csv(std::ostream& os, const linalg::Matrix& m) {
-  os.precision(17);
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      if (j) os << ',';
-      os << m(i, j);
-    }
-    os << '\n';
-  }
-}
-
-linalg::Matrix read_matrix_csv(std::istream& is) {
-  linalg::Matrix m;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const auto fields = split(line, ',');
-    std::vector<double> row;
-    row.reserve(fields.size());
-    for (const std::string& f : fields) row.push_back(parse_double(f));
-    m.append_row(row);
-  }
-  return m;
 }
 
 }  // namespace vn2::trace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <tuple>
 
 #include "telemetry/telemetry.hpp"
@@ -69,7 +70,11 @@ Trace build_trace(const wsn::SimulationResult& result) {
 }
 
 std::vector<StateVector> extract_states(const Trace& trace) {
+  std::size_t count = 0;
+  for (const NodeSeries& series : trace.nodes)
+    if (!series.snapshots.empty()) count += series.snapshots.size() - 1;
   std::vector<StateVector> states;
+  states.reserve(count);
   for (const NodeSeries& series : trace.nodes) {
     for (std::size_t i = 1; i < series.snapshots.size(); ++i) {
       const Snapshot& prev = series.snapshots[i - 1];
@@ -89,8 +94,16 @@ std::vector<StateVector> extract_states(const Trace& trace) {
 }
 
 linalg::Matrix states_matrix(const std::vector<StateVector>& states) {
-  linalg::Matrix m;
-  for (const StateVector& s : states) m.append_row(s.delta.span());
+  if (states.empty()) return {};
+  // Every row must be as wide as the first, as append_row requires.
+  const std::size_t cols = states.front().delta.size();
+  linalg::Matrix m(states.size(), cols);
+  for (std::size_t r = 0; r < states.size(); ++r) {
+    const linalg::Vector& delta = states[r].delta;
+    if (delta.size() != cols)
+      throw std::invalid_argument("states_matrix: size mismatch");
+    std::copy(delta.begin(), delta.end(), m.data() + r * cols);
+  }
   return m;
 }
 

@@ -126,4 +126,16 @@ if "$VN2" bogus-command 2>/dev/null; then
   echo "expected usage error" >&2
   exit 1
 fi
+# A trace field must parse whole: `1.5abc` in the first row's fourth column
+# is a runtime failure (exit 1) that names the line and column.
+sed '2s/^\([^,]*,[^,]*,[^,]*\),[^,]*/\1,1.5abc/' "$WORK/trace.csv" \
+    > "$WORK/garbage.csv"
+STATUS=0
+"$VN2" stats --trace "$WORK/garbage.csv" > /dev/null 2>"$WORK/garbage_err.txt" \
+    || STATUS=$?
+if [ "$STATUS" -ne 1 ]; then
+  echo "expected exit 1 for a malformed trace field, got $STATUS" >&2
+  exit 1
+fi
+grep -q "line 2, column 4: malformed field .1\.5abc." "$WORK/garbage_err.txt"
 echo "cli smoke OK"

@@ -1,15 +1,17 @@
 // Fuzz-style robustness tests for the CSV trace reader: a checked-in
 // corpus of malformed inputs (truncated rows, NaN/negative counters,
-// embedded NULs, oversized lines, overflowing numbers) plus seeded random
-// mutations of a valid trace. The contract under test: malformed input is
-// reported with a std::exception, never a crash or UB — CI runs this
-// suite under ASan+UBSan. Inputs that do parse are pushed through
-// extract_states/states_matrix so downstream layers see the hostile data
-// too.
+// embedded NULs, oversized lines, overflowing numbers, trailing garbage,
+// hex, out-of-range node and epoch fields) plus seeded random mutations of
+// a valid trace and of one that spans several read blocks. The contract
+// under test: malformed input is reported with a std::exception, never a
+// crash or UB — CI runs this suite under ASan+UBSan. Inputs that do parse
+// are pushed through extract_states/states_matrix so downstream layers see
+// the hostile data too.
 #include "trace/csv.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "support/csv_traces.hpp"
 #include "trace/trace.hpp"
 
 namespace vn2::trace {
@@ -139,28 +142,57 @@ TEST(CsvFuzz, MutatedValidTracesNeverCrash) {
   }
 }
 
-TEST(CsvFuzz, MutatedMatrixCsvNeverCrashes) {
+TEST(CsvFuzz, MutatedMultiBlockTraceNeverCrashes) {
+  // The reader takes the file in blocks of kCsvBlockBytes and carries a
+  // line cut by a block boundary over to the next block. Each round edits
+  // the text within a few bytes of every boundary, so cut lines, separators,
+  // CRs and newlines land on both sides of it.
   std::string base;
   {
-    linalg::Matrix m(4, 5);
-    for (std::size_t i = 0; i < m.rows(); ++i)
-      for (std::size_t j = 0; j < m.cols(); ++j)
-        m(i, j) = static_cast<double>(i * 10 + j) - 7.5;
     std::ostringstream out;
-    write_matrix_csv(out, m);
+    write_trace_csv(out, testing::synthetic_trace(12, 400, 0xB10C));
     base = out.str();
   }
-  std::mt19937_64 rng(0xA11);
-  const int rounds = fuzz_rounds(200);
+  ASSERT_GE(base.size(), kCsvBlockBytes * 5 / 2);
+  const std::size_t boundaries = base.size() / kCsvBlockBytes;
+  std::mt19937_64 rng(0xB10Cu);
+  std::uniform_int_distribution<int> offset(-4, 4);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<int> op(0, 5);
+  const char special[] = {',', '\n', '\r', '\0', '-', 'e'};
+
+  // Each round parses megabytes, so it runs a 25th of the small-trace
+  // rounds.
+  const int rounds = std::max(1, fuzz_rounds(300) / 25);
   for (int round = 0; round < rounds; ++round) {
     std::string mutated = base;
-    const std::size_t at = rng() % mutated.size();
-    mutated[at] = static_cast<char>(rng() % 256);
-    std::istringstream in(mutated);
-    try {
-      (void)read_matrix_csv(in);
-    } catch (const std::exception&) {
+    // Last boundary first, so an edit does not move the earlier ones.
+    for (std::size_t k = boundaries; k >= 1; --k) {
+      const std::size_t at = static_cast<std::size_t>(
+          static_cast<long>(k * kCsvBlockBytes) + offset(rng));
+      if (at >= mutated.size()) continue;
+      switch (op(rng)) {
+        case 0:  // overwrite with an arbitrary byte
+          mutated[at] = static_cast<char>(byte(rng));
+          break;
+        case 1:  // overwrite with a byte the reader treats specially
+          mutated[at] = special[rng() % sizeof special];
+          break;
+        case 2:  // delete one byte
+          mutated.erase(at, 1);
+          break;
+        case 3:  // insert a byte the reader treats specially
+          mutated.insert(at, 1, special[rng() % sizeof special]);
+          break;
+        case 4:  // truncate at the boundary
+          mutated.resize(at);
+          break;
+        default:  // leave this boundary alone
+          break;
+      }
     }
+    SCOPED_TRACE("round " + std::to_string(round));
+    exercise(mutated);
   }
 }
 

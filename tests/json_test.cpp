@@ -1,7 +1,7 @@
 // Tests for the JSON codec (telemetry/json.hpp) that every snapshot, call
 // tree and bench record is read with: the parser rejects malformed numbers,
-// escapes and documents, and every token quoted() and number() emit parses
-// back bit for bit.
+// escapes and documents, decodes \u escapes to UTF-8, and every token
+// quoted() and number() emit parses back bit for bit.
 #include "telemetry/json.hpp"
 
 #include <gtest/gtest.h>
@@ -52,6 +52,25 @@ TEST(Json, EmittedTokensParseBack) {
   EXPECT_EQ(write_compact(parse("{\"a\": [1, 0.5, true, null, \"x\\ty\"],"
                                 " \"b\": {}}")),
             "{\"a\":[1,0.5,true,null,\"x\\ty\"],\"b\":{}}");
+}
+
+TEST(Json, UnicodeEscapesDecodeToUtf8) {
+  EXPECT_EQ(parse("\"\\u00e9\"").str, "\xC3\xA9");      // U+00E9
+  EXPECT_EQ(parse("\"\\u20ac\"").str, "\xE2\x82\xAC");  // U+20AC
+  // A surrogate pair joins into one code point above U+FFFF.
+  EXPECT_EQ(parse("\"\\ud83d\\ude00\"").str, "\xF0\x9F\x98\x80");  // U+1F600
+  EXPECT_EQ(parse("\"a\\u0041\\u007f\"").str, "aA\x7F");
+  // A lone surrogate names no code point.
+  for (const char* bad :
+       {"\"\\ud800\"", "\"\\ud800x\"", "\"\\ud800\\u0041\"", "\"\\ude00\""}) {
+    try {
+      (void)parse(bad);
+      ADD_FAILURE() << "parsed: " << bad;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("surrogate"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

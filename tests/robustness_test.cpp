@@ -6,37 +6,65 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/evaluation.hpp"
 #include "core/vn2.hpp"
 #include "scenario/scenario.hpp"
+#include "support/csv_traces.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
 
 namespace vn2 {
 namespace {
 
-TEST(CsvRobustness, MalformedRowsThrow) {
-  // Header OK, row with a non-numeric field.
-  std::ostringstream header;
-  header << "node,epoch,time";
+std::string csv_header() {
+  std::string text = "node,epoch,time";
   for (metrics::MetricId id : metrics::all_metrics())
-    header << ',' << metrics::name(id);
-  header << "\n1,0,0";
-  for (std::size_t i = 0; i < metrics::kMetricCount - 1; ++i) header << ",0";
-  header << ",abc\n";
-  std::istringstream bad(header.str());
-  EXPECT_THROW(trace::read_trace_csv(bad), std::runtime_error);
+    (text += ',') += metrics::name(id);
+  return text + '\n';
+}
+
+/// The header, then a first row that holds every field but the last.
+std::string header_and_row_head() {
+  std::string text = csv_header() + "1,0,0";
+  for (std::size_t i = 0; i < metrics::kMetricCount - 1; ++i) text += ",0";
+  return text;
+}
+
+/// Expects reading `text` to throw a std::runtime_error whose message
+/// contains `where` and then `what`.
+void expect_rejected_at(const std::string& text, const std::string& where,
+                        const std::string& what) {
+  std::istringstream in(text);
+  try {
+    (void)trace::read_trace_csv(in);
+    ADD_FAILURE() << "parsed; expected a rejection at " << where;
+  } catch (const std::runtime_error& error) {
+    const std::string message = error.what();
+    const std::size_t at = message.find(where);
+    EXPECT_NE(at, std::string::npos) << message;
+    EXPECT_NE(message.find(what, at), std::string::npos) << message;
+  }
+}
+
+std::string read_corpus(const std::string& file) {
+  std::ifstream in(std::filesystem::path(VN2_CSV_CORPUS_DIR) / file,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << file;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(CsvRobustness, MalformedRowsThrow) {
+  expect_rejected_at(header_and_row_head() + ",abc\n", "line 2, column 46: ",
+                     "malformed field 'abc'");
 }
 
 TEST(CsvRobustness, ShortRowThrows) {
-  std::ostringstream buffer;
-  buffer << "node,epoch,time";
-  for (metrics::MetricId id : metrics::all_metrics())
-    buffer << ',' << metrics::name(id);
-  buffer << "\n1,0,0,1,2\n";  // Far too few columns.
-  std::istringstream bad(buffer.str());
-  EXPECT_THROW(trace::read_trace_csv(bad), std::runtime_error);
+  expect_rejected_at(csv_header() + "1,0,0,1,2\n", "line 2, column 6: ",
+                     "expected 46 columns, found 5");
 }
 
 TEST(CsvRobustness, BlankLinesIgnored) {
@@ -48,6 +76,68 @@ TEST(CsvRobustness, BlankLinesIgnored) {
   std::istringstream padded(text);
   EXPECT_EQ(trace::read_trace_csv(padded).total_snapshots(),
             log.total_snapshots());
+}
+
+TEST(CsvRobustness, StrictFieldsNameLineAndColumn) {
+  // Each field must parse whole and be finite; the rejection names the
+  // 1-based line and column.
+  const struct {
+    const char* file;
+    const char* where;
+    const char* what;
+  } corpus[] = {
+      {"trailing_garbage.csv", "line 2, column 5: ",
+       "malformed field '1.5abc'"},
+      {"hex_field.csv", "line 3, column 6: ", "malformed field ' 0x10'"},
+      {"node_out_of_range.csv", "line 2, column 1: ", "out-of-range"},
+      {"negative_epoch.csv", "line 2, column 2: ", "malformed"},
+      {"nan_negative.csv", "line 2, column 4: ", "non-finite field 'nan'"},
+  };
+  for (const auto& [file, where, what] : corpus) {
+    SCOPED_TRACE(file);
+    expect_rejected_at(read_corpus(file), where, what);
+  }
+
+  const std::string text = header_and_row_head();
+  expect_rejected_at(text + ",inf\n", "line 2, column 46: ",
+                     "non-finite field 'inf'");
+  expect_rejected_at(text + ",-INF\r\n", "line 2, column 46: ",
+                     "non-finite field '-INF'");
+  expect_rejected_at(text + ",0,0\n", "line 2, column 47: ",
+                     "expected 46 columns, found 47");
+}
+
+TEST(CsvRobustness, CrlfTraceReadsIdentically) {
+  scenario::ScenarioBundle bundle = scenario::tiny(6, 600.0, 2);
+  const trace::Trace log = trace::build_trace(bundle.make_simulator().run());
+  std::ostringstream out;
+  trace::write_trace_csv(out, log);
+  std::string crlf;
+  for (char c : out.str()) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  std::istringstream lf_in(out.str());
+  std::istringstream crlf_in(crlf);
+  const trace::Trace lf_read = trace::read_trace_csv(lf_in);
+  const trace::Trace crlf_read = trace::read_trace_csv(crlf_in);
+  ASSERT_GT(lf_read.total_snapshots(), 0u);
+  EXPECT_TRUE(testing::identical_snapshots(lf_read, log));
+  EXPECT_TRUE(testing::identical_snapshots(crlf_read, lf_read));
+  EXPECT_EQ(crlf_read.node_count, lf_read.node_count);
+  EXPECT_EQ(crlf_read.duration, lf_read.duration);
+}
+
+TEST(CsvRobustness, MultiBlockTraceReadsIdentically) {
+  // More than three read blocks, so rows are cut by block boundaries.
+  const trace::Trace trace = testing::synthetic_trace(12, 400, 7);
+  std::stringstream buffer;
+  trace::write_trace_csv(buffer, trace);
+  ASSERT_GT(buffer.str().size(), 3 * trace::kCsvBlockBytes);
+  const trace::Trace loaded = trace::read_trace_csv(buffer);
+  EXPECT_TRUE(testing::identical_snapshots(loaded, trace));
+  EXPECT_EQ(loaded.node_count, trace.node_count);
+  EXPECT_EQ(loaded.duration, trace.duration);
 }
 
 TEST(TraceRobustness, EmptySimulationResult) {

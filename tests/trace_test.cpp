@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cfloat>
+#include <cstdint>
+#include <cstdio>
 #include <sstream>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "scenario/scenario.hpp"
+#include "support/csv_traces.hpp"
 #include "trace/csv.hpp"
 #include "trace/stats.hpp"
 
@@ -242,18 +246,39 @@ TEST(Csv, TraceRoundTrip) {
   write_trace_csv(buffer, trace);
   Trace loaded = read_trace_csv(buffer);
 
-  ASSERT_EQ(loaded.nodes.size(), trace.nodes.size());
-  EXPECT_EQ(loaded.total_snapshots(), trace.total_snapshots());
-  for (std::size_t i = 0; i < trace.nodes.size(); ++i) {
-    ASSERT_EQ(loaded.nodes[i].node, trace.nodes[i].node);
-    for (std::size_t s = 0; s < trace.nodes[i].snapshots.size(); ++s) {
-      const Snapshot& a = trace.nodes[i].snapshots[s];
-      const Snapshot& b = loaded.nodes[i].snapshots[s];
-      EXPECT_EQ(a.epoch, b.epoch);
-      for (std::size_t m = 0; m < metrics::kMetricCount; ++m)
-        EXPECT_NEAR(a.values[m], b.values[m], 1e-6 * (1.0 + std::abs(a.values[m])));
-    }
+  // Exact: every epoch, time and value comes back bit for bit.
+  EXPECT_TRUE(testing::identical_snapshots(loaded, trace));
+}
+
+TEST(Csv, WriterMatchesPrintf17) {
+  // The writer's text is printf's "%.17g", which is also what an ostream at
+  // precision 17 prints. 2^53 + 1 is not a double; it rounds to 2^53.
+  const std::vector<double> doubles = {
+      -0.0, 5e-324, DBL_MAX, 0.1, 1e16, 9007199254740993.0, 123456789.125};
+  Trace trace;
+  NodeSeries series;
+  series.node = 65534;
+  Snapshot snap;
+  snap.epoch = UINT64_MAX;
+  snap.time = doubles[0];
+  for (std::size_t m = 0; m < metrics::kMetricCount; ++m)
+    snap.values[m] = doubles[(m + 1) % doubles.size()];
+  series.snapshots.push_back(snap);
+  trace.nodes.push_back(series);
+
+  std::string expected = "65534,18446744073709551615";
+  char field[64];
+  std::snprintf(field, sizeof field, ",%.17g", snap.time);
+  expected += field;
+  for (double v : snap.values) {
+    std::snprintf(field, sizeof field, ",%.17g", v);
+    expected += field;
   }
+  std::ostringstream out;
+  write_trace_csv(out, trace);
+  const std::string text = out.str();
+  const std::size_t row = text.find('\n') + 1;
+  EXPECT_EQ(text.substr(row), expected + "\n");
 }
 
 TEST(Csv, RejectsMalformedInput) {
@@ -261,14 +286,6 @@ TEST(Csv, RejectsMalformedInput) {
   EXPECT_THROW(read_trace_csv(empty), std::runtime_error);
   std::stringstream bad_header("a,b,c\n");
   EXPECT_THROW(read_trace_csv(bad_header), std::runtime_error);
-}
-
-TEST(Csv, MatrixRoundTrip) {
-  linalg::Matrix m{{1.5, -2.25}, {0.0, 1e6}};
-  std::stringstream buffer;
-  write_matrix_csv(buffer, m);
-  linalg::Matrix loaded = read_matrix_csv(buffer);
-  EXPECT_EQ(loaded, m);
 }
 
 }  // namespace
