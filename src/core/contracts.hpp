@@ -18,13 +18,12 @@
 //                              factors stay non-negative, NNLS output is
 //                              feasible, Cholesky pivots are positive).
 //
-// VN2_REQUIRE and VN2_ASSERT are active in Debug builds (NDEBUG undefined)
-// and in any build configured with -DVN2_CHECKED=ON; in plain Release
-// builds they compile to nothing, so the hot paths carry zero overhead
-// (verified against the BENCH_parallel*.json baselines). All three throw
-// ContractViolation, which derives from std::invalid_argument so call
-// sites that already promise std::invalid_argument on bad input keep that
-// promise in every build mode.
+// VN2_REQUIRE and VN2_ASSERT follow NDEBUG: active in Debug builds, and
+// compiled to nothing in Release builds, so the hot paths carry zero
+// overhead (verified against the BENCH_parallel*.json baselines). All
+// three throw ContractViolation, which derives from std::invalid_argument
+// so call sites that already promise std::invalid_argument on bad input
+// keep that promise in every build mode.
 //
 // This header lives in core/ but depends on nothing else in VN2 (like
 // core/parallel.hpp, it ships in the base vn2_parallel library), so the
@@ -47,8 +46,8 @@ class ContractViolation : public std::invalid_argument {
                               std::to_string(line)) {}
 };
 
-/// True when this build was compiled with contracts active (Debug or
-/// VN2_CHECKED). Compiled into the library so tests can ask the library —
+/// True when this build was compiled with contracts active (NDEBUG
+/// undefined). Compiled into the library so tests can ask the library —
 /// not their own translation unit — whether assertions will fire.
 [[nodiscard]] bool contracts_active() noexcept;
 
@@ -63,7 +62,7 @@ namespace detail {
 }  // namespace detail
 }  // namespace vn2::core
 
-#if !defined(NDEBUG) || defined(VN2_CHECKED)
+#ifndef NDEBUG
 #define VN2_CONTRACTS_ACTIVE 1
 #else
 #define VN2_CONTRACTS_ACTIVE 0

@@ -2,8 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <exception>
-#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "telemetry/telemetry.hpp"
 
@@ -11,178 +17,175 @@ namespace vn2::core {
 
 namespace {
 
-thread_local bool t_inside_worker = false;
+using Task = std::function<void(std::size_t)>;
 
-// One parallel region in flight: tasks are claimed by atomic increment, so
-// a fast worker takes more chunks than a slow one without any rebalancing
-// logic; `stop` short-circuits claims after the first exception.
-struct Batch {
-  std::size_t tasks = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> stop{false};
-  std::mutex mutex;
-  std::condition_variable done;
-  std::size_t helpers_left = 0;
-  std::exception_ptr error;
+// The process-wide worker pool. It runs one fork-join region at a time: the
+// thread that sets `busy_` (the submitter) publishes the region, claims
+// chunks alongside the workers that join it, and then waits only for those
+// workers. Chunks are claimed by atomic increment, so a fast thread takes
+// more of them than a slow one without any rebalancing logic.
+class Pool {
+ public:
+  Pool() = default;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+  ~Pool() { respawn(0); }
 
-  // Timing wrapper: one busy-time sample per participant per region, so
-  // the spread of parallel.worker_busy_ns is the imbalance signal.
-  void work() {
-    const std::uint64_t busy_start = VN2_CLOCK_NOW();
-    run_tasks();
-    if (busy_start != 0) {
-      VN2_COUNT("parallel.participants");
-      VN2_HISTOGRAM("parallel.worker_busy_ns",
-                    telemetry::monotonic_ns() - busy_start);
-    }
-  }
+  // Runs fn(i) for every i in [begin, end), in chunks of `chunk` indices, on
+  // the calling thread and `workers` pool threads. Returns false, having run
+  // nothing, when another region holds the pool.
+  bool try_run(std::size_t workers, std::size_t begin, std::size_t end,
+               std::size_t chunk, const Task& fn);
 
-  void run_tasks() {
-    for (;;) {
-      if (stop.load(std::memory_order_relaxed)) return;
-      const std::size_t task = next.fetch_add(1, std::memory_order_relaxed);
-      if (task >= tasks) return;
-      try {
-        (*fn)(task);
-      } catch (...) {
-        stop.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
+ private:
+  void respawn(std::size_t workers);
+  void worker_loop(std::uint64_t seen);
+  void work();
+
+  std::atomic<bool> busy_{false};
+  // Guards generation_ through error_, and publishes the region below.
+  std::mutex mutex_;
+  std::condition_variable wake_;  // Workers: generation_ moved, or stop_.
+  std::condition_variable left_;  // Submitter: joined_ fell to 0.
+  std::uint64_t generation_ = 0;
+  bool stop_ = false;
+  std::size_t joined_ = 0;  // Workers inside the region.
+  std::exception_ptr error_;
+  // The region, published under mutex_ before generation_ moves; it stays
+  // fixed until every worker that joined has left.
+  std::size_t begin_ = 0, end_ = 0, chunk_ = 1, chunks_ = 0;
+  const Task* fn_ = nullptr;
+  std::string span_path_;
+  // The next chunk to claim, on its own cache line: every claim writes it,
+  // while the region fields above are read per index. The first exception
+  // moves it past the end.
+  alignas(64) std::atomic<std::size_t> next_{0};
+  std::vector<std::thread> threads_;  // Last: the threads use every member.
 };
 
-}  // namespace
+bool Pool::try_run(std::size_t workers, std::size_t begin, std::size_t end,
+                   std::size_t chunk, const Task& fn) {
+  if (busy_.exchange(true, std::memory_order_acquire)) return false;
+  struct Release {
+    std::atomic<bool>& busy;
+    ~Release() { busy.store(false, std::memory_order_release); }
+  } release{busy_};
+  if (threads_.size() != workers) respawn(workers);
 
-ThreadPool::ThreadPool(std::size_t workers) {
-  workers_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    begin_ = begin;
+    end_ = end;
+    chunk_ = chunk;
+    chunks_ = (end - begin + chunk - 1) / chunk;
+    fn_ = &fn;
+    // Workers adopt the submitter's span path, so spans opened inside fn()
+    // attribute to the enclosing call tree instead of showing up as roots.
+    span_path_ = telemetry::current_span_path();
+    next_.store(0, std::memory_order_relaxed);
+    ++generation_;
+  }
+  VN2_COUNT("parallel.regions");
+  VN2_COUNT_N("parallel.tasks", chunks_);
+  wake_.notify_all();
+  work();  // The submitter is a full participant.
+
+  std::unique_lock<std::mutex> lock(mutex_);
+  left_.wait(lock, [this] { return joined_ == 0; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  return true;
 }
 
-ThreadPool::~ThreadPool() {
+// Replaces the worker threads with `workers` new ones. Runs only while no
+// region is open: under the busy_ claim, or from the destructor.
+void Pool::respawn(std::size_t workers) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  work_ready_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
+  wake_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+  threads_.clear();
+  stop_ = false;
+  // A thread that starts late still sees the next region as new.
+  for (std::size_t i = 0; i < workers; ++i)
+    threads_.emplace_back([this, seen = generation_] { worker_loop(seen); });
 }
 
-void ThreadPool::worker_loop() {
-  t_inside_worker = true;
+void Pool::worker_loop(std::uint64_t seen) {
   for (;;) {
-    std::function<void()> job;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained.
-      job = std::move(queue_.front());
-      queue_.pop_front();
+      wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
+      // Join only while chunks are left: a worker that joined later would
+      // have nothing to do, yet the submitter would wait for it.
+      if (next_.load(std::memory_order_relaxed) >= chunks_) continue;
+      ++joined_;
     }
-    job();
+    work();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--joined_ == 0) left_.notify_one();
   }
 }
 
-void ThreadPool::run(std::size_t tasks,
-                     const std::function<void(std::size_t)>& fn) {
-  if (tasks == 0) return;
-
-  auto batch = std::make_shared<Batch>();
-  batch->tasks = tasks;
-  batch->fn = &fn;  // Valid: run() blocks until every helper finished.
-
-  const std::size_t helpers = std::min(workers_.size(), tasks);
-  batch->helpers_left = helpers;
-  if (helpers > 0) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t i = 0; i < helpers; ++i) {
-        queue_.emplace_back([batch] {
-          batch->work();
-          {
-            std::lock_guard<std::mutex> batch_lock(batch->mutex);
-            --batch->helpers_left;
-          }
-          batch->done.notify_one();
-        });
-      }
+// One participant's share of the region: claims chunks until none are
+// left. One busy-time sample per participant per region, so the spread of
+// parallel.worker_busy_ns is the imbalance signal.
+void Pool::work() {
+  const std::uint64_t busy_start = VN2_CLOCK_NOW();
+  try {
+    // A no-op on the submitter, whose own open spans carry the path.
+    telemetry::SpanPathScope scope(span_path_);
+    for (;;) {
+      const std::size_t c = next_.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks_) break;
+      const std::size_t lo = begin_ + c * chunk_;
+      const std::size_t hi = std::min(end_, lo + chunk_);
+      for (std::size_t i = lo; i < hi; ++i) (*fn_)(i);
     }
-    work_ready_.notify_all();
+  } catch (...) {
+    next_.store(chunks_, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!error_) error_ = std::current_exception();
   }
-
-  batch->work();  // The caller is a full participant.
-
-  std::unique_lock<std::mutex> lock(batch->mutex);
-  batch->done.wait(lock, [&] { return batch->helpers_left == 0; });
-  if (batch->error) std::rethrow_exception(batch->error);
+  if (busy_start != 0) {
+    VN2_COUNT("parallel.participants");
+    VN2_HISTOGRAM("parallel.worker_busy_ns",
+                  telemetry::monotonic_ns() - busy_start);
+  }
 }
 
-bool ThreadPool::inside_worker() noexcept { return t_inside_worker; }
-
-namespace {
-
-std::size_t default_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-std::mutex g_pool_mutex;
-// Read on every potentially-parallel call site (e.g. each matmul), so it is
-// an atomic rather than being guarded by the pool mutex. 0 = not yet
-// resolved, use the hardware default.
+// Read on every potentially-parallel call site (e.g. each matmul), hence an
+// atomic. 0 = the hardware default.
 std::atomic<std::size_t> g_num_threads{0};
-std::unique_ptr<ThreadPool> g_pool;
 
 }  // namespace
 
 void set_num_threads(std::size_t n) {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  const std::size_t budget = n == 0 ? default_threads() : n;
-  g_num_threads.store(budget, std::memory_order_relaxed);
-  if (g_pool && g_pool->workers() != budget - 1) g_pool.reset();
+  g_num_threads.store(n, std::memory_order_relaxed);
 }
 
 std::size_t num_threads() noexcept {
+  static const std::size_t hardware =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
   const std::size_t budget = g_num_threads.load(std::memory_order_relaxed);
-  return budget == 0 ? default_threads() : budget;
-}
-
-ThreadPool& global_pool() {
-  std::lock_guard<std::mutex> lock(g_pool_mutex);
-  const std::size_t budget = num_threads();
-  if (!g_pool || g_pool->workers() != budget - 1)
-    g_pool = std::make_unique<ThreadPool>(budget - 1);
-  return *g_pool;
+  return budget == 0 ? hardware : budget;
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t)>& fn) {
   if (end <= begin) return;
-  const std::size_t n = end - begin;
   const std::size_t chunk = std::max<std::size_t>(grain, 1);
-  if (n <= chunk || num_threads() <= 1 || ThreadPool::inside_worker()) {
-    VN2_COUNT("parallel.regions_inline");
-    VN2_COUNT_N("parallel.tasks", 1);
-    for (std::size_t i = begin; i < end; ++i) fn(i);
+  const std::size_t threads = num_threads();
+  static Pool pool;  // Its destructor joins the workers at exit.
+  if (end - begin > chunk && threads > 1 &&
+      pool.try_run(threads - 1, begin, end, chunk, fn))
     return;
-  }
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  VN2_COUNT("parallel.regions");
-  VN2_COUNT_N("parallel.tasks", chunks);
-  // Workers inherit the submitting thread's span path, so spans opened
-  // inside fn() attribute to the enclosing call tree instead of showing
-  // up as roots. The submitting thread itself still owns its path, and
-  // SpanPathScope refuses the prefix there (its span depth is nonzero).
-  const std::string parent_path = telemetry::current_span_path();
-  global_pool().run(chunks, [&](std::size_t c) {
-    telemetry::SpanPathScope scope(parent_path);
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
-  });
+  VN2_COUNT("parallel.regions_inline");
+  VN2_COUNT_N("parallel.tasks", 1);
+  for (std::size_t i = begin; i < end; ++i) fn(i);
 }
 
 }  // namespace vn2::core

@@ -1,8 +1,8 @@
 // Dependency-free parallel execution layer.
 //
-// A reusable ThreadPool plus a deterministic parallel_for built on
-// std::thread — the substrate for the analysis hot paths (row-parallel
-// matmul, the rank sweep, batch diagnosis, batch simulation). Design rules:
+// A deterministic parallel_for over one process-wide pool of std::threads —
+// the substrate for the analysis hot paths (row-parallel matmul, the rank
+// sweep, batch diagnosis, batch simulation). Design rules:
 //
 //  * Determinism: parallel_for partitions [begin, end) into fixed chunks
 //    and every index is visited exactly once; callers that write only to
@@ -10,87 +10,43 @@
 //    bit-identical to the serial loop, at any thread count.
 //  * `set_num_threads(1)` (or a single-core machine) reproduces today's
 //    serial behaviour exactly: parallel_for degenerates to a plain loop on
-//    the calling thread and no pool is ever created.
-//  * No nested parallelism: a parallel_for issued from inside a pool worker
-//    runs serially inline, so e.g. the matmuls inside a parallelized rank
-//    sweep do not oversubscribe the pool (and cannot deadlock it).
+//    the calling thread and no worker thread is ever started.
+//  * One region at a time: the pool runs one fork-join region, and the
+//    thread that issues it runs chunks too. A region issued while the pool
+//    is busy — from inside any task of the running region, or from a second
+//    thread — runs serially inline on the thread that issued it. So the
+//    matmuls inside a parallelized rank sweep neither oversubscribe the
+//    pool nor wait on it, and no region can deadlock another.
 //  * Exception safety: the first exception thrown by any task is captured
-//    and rethrown on the calling thread after all in-flight tasks drain;
-//    the pool itself stays usable.
+//    and rethrown on the calling thread once every thread has left the
+//    region; the pool itself stays usable.
 //
 // This header lives in core/ but deliberately depends on nothing else in
 // VN2 (it is its own little library, vn2_parallel), so the lower layers
 // (linalg, nmf) can use it without a dependency cycle.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace vn2::core {
 
-/// A fixed-size pool of worker threads executing queued jobs. The calling
-/// thread always participates in `run`, so a pool of W workers gives W + 1
-/// threads of execution.
-class ThreadPool {
- public:
-  /// Spawns `workers` threads (0 is valid: `run` then executes everything
-  /// on the calling thread).
-  explicit ThreadPool(std::size_t workers);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Number of worker threads (excluding the caller).
-  [[nodiscard]] std::size_t workers() const noexcept {
-    return workers_.size();
-  }
-
-  /// Runs `fn(task)` for every task in [0, tasks), distributing tasks over
-  /// the workers and the calling thread; blocks until every task finished.
-  /// If any task throws, remaining unclaimed tasks are abandoned and the
-  /// first exception is rethrown here once in-flight tasks drain. The pool
-  /// remains usable afterwards.
-  void run(std::size_t tasks, const std::function<void(std::size_t)>& fn);
-
-  /// True when the calling thread is a worker of *any* ThreadPool — used to
-  /// suppress nested parallelism.
-  [[nodiscard]] static bool inside_worker() noexcept;
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::deque<std::function<void()>> queue_;
-  bool stop_ = false;
-};
-
 /// Sets the global thread budget for all VN2 parallel regions. `n` counts
 /// total threads of execution (1 = fully serial); 0 resets to
-/// `std::thread::hardware_concurrency()`. Call from the main thread outside
-/// any parallel region (the CLI does this once at startup from `--threads`).
+/// `std::thread::hardware_concurrency()`. A region already running keeps its
+/// threads; the next one uses the new budget (the CLI sets it once at
+/// startup from `--threads`).
 void set_num_threads(std::size_t n);
 
 /// Current global thread budget (≥ 1).
 [[nodiscard]] std::size_t num_threads() noexcept;
 
-/// The process-wide pool backing parallel_for, sized to `num_threads() - 1`
-/// workers. Created lazily on first use; resized on the next use after
-/// set_num_threads changes the budget.
-ThreadPool& global_pool();
-
 /// Calls `fn(i)` for every i in [begin, end) exactly once. Work is split
 /// into chunks of `grain` consecutive indices (grain 0 is treated as 1) and
 /// the chunks are executed on the global pool. Runs serially inline when
-/// the budget is 1, when the range fits in a single chunk, or when already
-/// inside a pool worker. Exceptions from `fn` propagate to the caller.
+/// the budget is 1, when the range fits in a single chunk, or when the pool
+/// is busy with another region. Exceptions from `fn` propagate to the
+/// caller.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t)>& fn);
 

@@ -25,11 +25,14 @@ std::vector<RankPoint> rank_sweep(const linalg::Matrix& e,
   // Each rank's factorization is seeded independently (the golden-ratio
   // stride decorrelates initializations while staying deterministic), so
   // the sweep is embarrassingly parallel: every slot is written by exactly
-  // one rank and the output order matches the serial loop.
+  // one rank and the output order matches the serial loop. Tasks walk the
+  // candidates from the back, so with the usual ascending list the costliest
+  // fits start first and the cheap ones fill the tail.
   std::vector<RankPoint> sweep(valid.size());
   VN2_SPAN("nmf.rank_sweep");
   VN2_COUNT_N("nmf.rank_sweep.candidates", valid.size());
-  core::parallel_for(0, valid.size(), 1, [&](std::size_t index) {
+  core::parallel_for(0, valid.size(), 1, [&](std::size_t task) {
+    const std::size_t index = valid.size() - 1 - task;
     const std::size_t r = valid[index];
     NmfOptions nmf_options = options.nmf;
     nmf_options.seed = options.nmf.seed + r * 0x9e3779b9ULL;

@@ -14,9 +14,7 @@ using wsn::Position;
 using wsn::Time;
 
 wsn::Simulator ScenarioBundle::make_simulator() const {
-  wsn::Simulator sim(config);
-  for (const FaultCommand& fault : faults) sim.inject(fault);
-  return sim;
+  return wsn::Simulator(config, faults);
 }
 
 namespace {

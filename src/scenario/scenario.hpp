@@ -27,7 +27,8 @@ struct ScenarioBundle {
   wsn::SimConfig config;
   std::vector<wsn::FaultCommand> faults;
 
-  /// Builds the simulator and injects every fault.
+  /// Builds the simulator with every fault injected. The result is a
+  /// prvalue, so callers initialize their simulator in place from it.
   [[nodiscard]] wsn::Simulator make_simulator() const;
 };
 

@@ -50,7 +50,7 @@ void count_fault_injection(FaultCommand::Type type) {
 using metrics::MetricId;
 using metrics::PacketType;
 
-Simulator::Simulator(SimConfig config)
+Simulator::Simulator(SimConfig config, const std::vector<FaultCommand>& faults)
     : config_(std::move(config)),
       environment_(config_.environment, config_.seed ^ 0xE27ULL),
       radio_(config_.radio, &environment_, config_.seed ^ 0x4Ad10ULL),
@@ -88,6 +88,7 @@ Simulator::Simulator(SimConfig config)
       }
     }
   }
+  for (const FaultCommand& fault : faults) inject(fault);
 }
 
 bool Simulator::chance(double p) {
@@ -751,6 +752,8 @@ void Simulator::update_route(NodeId id) {
 }
 
 void Simulator::run_until(Time t) {
+  if (spent_)
+    throw std::logic_error("Simulator: run() already moved the logs out");
   start();
   const std::size_t executed = queue_.run_until(t);
   VN2_COUNT_N("sim.events", executed);
@@ -758,14 +761,25 @@ void Simulator::run_until(Time t) {
 
 SimulationResult Simulator::run() {
   run_until(config_.duration);
-  return snapshot_result();
+  spent_ = true;
+  // The logs are most of the result (hundreds of MiB after a simulated
+  // week), so they move out instead of being copied.
+  return result_with(std::move(sink_log_), std::move(originations_),
+                     std::move(ground_truth_));
 }
 
 SimulationResult Simulator::snapshot_result() const {
+  return result_with(sink_log_, originations_, ground_truth_);
+}
+
+SimulationResult Simulator::result_with(
+    std::vector<SinkPacketRecord> sink_log,
+    std::vector<Origination> originations,
+    std::vector<InjectedFault> ground_truth) const {
   SimulationResult result;
-  result.sink_log = sink_log_;
-  result.originations = originations_;
-  result.ground_truth = ground_truth_;
+  result.sink_log = std::move(sink_log);
+  result.originations = std::move(originations);
+  result.ground_truth = std::move(ground_truth);
   result.stats = stats_;
   result.duration = config_.duration;
   result.node_count = nodes_.size();

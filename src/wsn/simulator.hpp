@@ -119,20 +119,26 @@ struct SimulationResult {
 
 class Simulator {
  public:
-  explicit Simulator(SimConfig config);
+  /// Builds the network and injects each fault in order; every fault is
+  /// recorded as ground truth with its blast radius.
+  explicit Simulator(SimConfig config,
+                     const std::vector<FaultCommand>& faults = {});
 
-  /// Registers a fault; must be called before run()/run_until() passes the
-  /// fault's start time. Recorded as ground truth with its blast radius.
-  void inject(const FaultCommand& command);
+  // Scheduled events point at this simulator, so it neither copies nor
+  // moves: initialize it in place, e.g. from ScenarioBundle::make_simulator.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
-  /// Runs the full configured duration and returns the collected result.
+  /// Runs the full configured duration and moves the logs into the result,
+  /// which leaves the simulator spent: run() and run_until() then throw
+  /// std::logic_error.
   SimulationResult run();
 
   /// Steps the simulation to absolute time `t` (idempotent if t <= now).
   void run_until(Time t);
   [[nodiscard]] Time now() const noexcept { return queue_.now(); }
 
-  /// Collects results accumulated so far (does not stop the simulation).
+  /// Copies the results accumulated so far (does not stop the simulation).
   [[nodiscard]] SimulationResult snapshot_result() const;
 
   // --- introspection (tests, examples) --------------------------------------
@@ -162,6 +168,7 @@ class Simulator {
   std::mt19937_64 rng_;
   std::vector<std::uint32_t> generation_;  ///< Invalidates stale timers.
   bool started_ = false;
+  bool spent_ = false;  ///< run() moved the logs out.
 
   std::vector<SinkPacketRecord> sink_log_;
   std::vector<Origination> originations_;
@@ -177,6 +184,13 @@ class Simulator {
   };
   std::vector<ActiveJammer> jammers_;
 
+  void inject(const FaultCommand& command);
+  /// The result around the given logs: copies for a snapshot, the
+  /// moved-out logs for run().
+  [[nodiscard]] SimulationResult result_with(
+      std::vector<SinkPacketRecord> sink_log,
+      std::vector<Origination> originations,
+      std::vector<InjectedFault> ground_truth) const;
   void start();
   void schedule_node_timers(NodeId id);
   void beacon_tick(NodeId id, std::uint32_t generation);

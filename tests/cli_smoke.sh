@@ -138,4 +138,28 @@ if [ "$STATUS" -ne 1 ]; then
   exit 1
 fi
 grep -q "line 2, column 4: malformed field .1\.5abc." "$WORK/garbage_err.txt"
+# A numeric option must parse whole, and a count cannot be negative: each
+# bad value is a runtime failure (exit 1) naming the option and its text.
+for BAD in "--days 0.05abc" "--nodes 12x" "--nodes -3"; do
+  STATUS=0
+  # Word splitting of $BAD into option and value is intended.
+  # shellcheck disable=SC2086
+  "$VN2" simulate --scenario tiny --seed 9 $BAD --out "$WORK/bad.csv" \
+      > /dev/null 2>"$WORK/number_err.txt" || STATUS=$?
+  if [ "$STATUS" -ne 1 ]; then
+    echo "expected exit 1 for simulate $BAD, got $STATUS" >&2
+    exit 1
+  fi
+  grep -q "^vn2 simulate: ${BAD% *}: '${BAD#* }'" "$WORK/number_err.txt"
+done
+# The thread budget is capped at 1024. inspect runs no parallel region, so
+# a missing check could not start any threads here.
+STATUS=0
+"$VN2" inspect --model "$WORK/model.vn2" --threads 5000 > /dev/null \
+    2>"$WORK/threads_err.txt" || STATUS=$?
+if [ "$STATUS" -ne 1 ]; then
+  echo "expected exit 1 for --threads 5000, got $STATUS" >&2
+  exit 1
+fi
+grep -q "^vn2 inspect: --threads: '5000'" "$WORK/threads_err.txt"
 echo "cli smoke OK"

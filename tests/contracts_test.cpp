@@ -1,6 +1,6 @@
 // Contract-assertion coverage (src/core/contracts.hpp).
 //
-// In Debug / VN2_CHECKED builds the numeric hot paths throw
+// In Debug builds (NDEBUG undefined) the numeric hot paths throw
 // ContractViolation on contract breaches; in plain Release builds the
 // macros compile to nothing and the pre-existing std::invalid_argument
 // validation is the only guard. The tests ask the *library* (not this

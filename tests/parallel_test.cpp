@@ -1,12 +1,14 @@
 // The parallel execution layer: index coverage under adversarial grains,
+// one region at a time (nested and concurrent regions run inline),
 // bit-identical results across thread counts for every parallelized hot
-// path (matmul, rank_sweep, diagnose_batch), and clean pool shutdown when
-// a task throws.
+// path (matmul, rank_sweep, diagnose_batch), and a usable pool after a
+// task throws.
 #include "core/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -82,27 +84,59 @@ TEST_F(ParallelTest, NestedParallelForRunsInlineInTheOuterTask) {
   parallel_for(0, 8, 1, [&](std::size_t outer) {
     const std::thread::id outer_thread = std::this_thread::get_id();
     parallel_for(0, 32, 1, [&](std::size_t inner) {
-      // No nested fan-out: the inner loop must stay on the outer task's
-      // thread (workers inline, and the caller-thread path has the whole
-      // pool busy only with outer chunks).
-      if (ThreadPool::inside_worker()) {
-        EXPECT_EQ(std::this_thread::get_id(), outer_thread);
-      }
+      // No nested fan-out: the pool is busy with the outer region, so the
+      // inner loop stays on the outer task's thread, whichever it is.
+      EXPECT_EQ(std::this_thread::get_id(), outer_thread);
       counts[outer * 32 + inner].fetch_add(1);
     });
   });
   for (auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
-TEST_F(ParallelTest, ThreadPoolRunIsReusable) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.workers(), 3u);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<std::atomic<int>> counts(257);
-    for (auto& c : counts) c.store(0);
-    pool.run(counts.size(), [&](std::size_t i) { counts[i].fetch_add(1); });
-    for (auto& c : counts) ASSERT_EQ(c.load(), 1);
-  }
+// Each of two outer tasks runs a nested region, then waits for the other
+// task's nested region to finish. That only works if no nested region
+// waits on the other outer task, including the one the submitting thread
+// runs.
+TEST_F(ParallelTest, SubmittersNestedRegionDoesNotWaitForOtherTasks) {
+  set_num_threads(2);
+  std::atomic<int> nested_done{0};
+  std::atomic<int> timeouts{0};
+  parallel_for(0, 2, 1, [&](std::size_t) {
+    std::atomic<int> inner{0};
+    parallel_for(0, 64, 1, [&](std::size_t) { inner.fetch_add(1); });
+    EXPECT_EQ(inner.load(), 64);
+    nested_done.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (nested_done.load() < 2) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timeouts.fetch_add(1);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_EQ(timeouts.load(), 0);
+}
+
+// Two threads issue regions at once: one holds the pool, the other's
+// regions run inline, and every index of every region runs exactly once.
+TEST_F(ParallelTest, RegionsFromTwoThreadsEachRunEveryIndexOnce) {
+  set_num_threads(4);
+  constexpr std::size_t kSize = 1000;
+  constexpr int kRounds = 50;
+  std::vector<std::atomic<int>> counts(2 * kSize);
+  for (auto& c : counts) c.store(0);
+  const auto issue = [&](std::size_t offset) {
+    for (int round = 0; round < kRounds; ++round)
+      parallel_for(offset, offset + kSize, 7,
+                   [&](std::size_t i) { counts[i].fetch_add(1); });
+  };
+  std::thread first(issue, 0);
+  std::thread second(issue, kSize);
+  first.join();
+  second.join();
+  for (auto& c : counts) ASSERT_EQ(c.load(), kRounds);
 }
 
 TEST_F(ParallelTest, ThrowingTaskPropagatesAndPoolStaysUsable) {
@@ -119,20 +153,6 @@ TEST_F(ParallelTest, ThrowingTaskPropagatesAndPoolStaysUsable) {
   parallel_for(0, counts.size(), 1,
                [&](std::size_t i) { counts[i].fetch_add(1); });
   for (auto& c : counts) ASSERT_EQ(c.load(), 1);
-}
-
-TEST_F(ParallelTest, ThrowingTaskOnBareThreadPoolPropagates) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.run(100,
-               [](std::size_t i) {
-                 if (i == 42) throw std::invalid_argument("task 42");
-               }),
-      std::invalid_argument);
-  // Still alive afterwards.
-  std::atomic<int> total{0};
-  pool.run(10, [&](std::size_t) { total.fetch_add(1); });
-  EXPECT_EQ(total.load(), 10);
 }
 
 TEST_F(ParallelTest, MatmulBitIdenticalAcrossThreadCounts) {

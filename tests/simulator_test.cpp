@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <stdexcept>
+#include <type_traits>
 
 #include "scenario/scenario.hpp"
 
@@ -52,6 +54,57 @@ TEST(Simulator, DeterministicGivenSeed) {
   auto b3 = small_bundle(12);
   SimulationResult r3 = b3.make_simulator().run();
   EXPECT_NE(r1.stats.data_transmissions, r3.stats.data_transmissions);
+}
+
+// Scheduled events point at the simulator, so it can neither copy nor move.
+static_assert(!std::is_copy_constructible_v<Simulator>);
+static_assert(!std::is_move_constructible_v<Simulator>);
+
+TEST(Simulator, RunsOnlyOnce) {
+  auto bundle = small_bundle();
+  Simulator sim = bundle.make_simulator();
+  sim.run();
+  EXPECT_THROW(sim.run(), std::logic_error);
+  EXPECT_THROW(sim.run_until(bundle.config.duration), std::logic_error);
+}
+
+TEST(Simulator, RunHandsOverTheLogsASnapshotCopies) {
+  auto bundle = small_bundle(13);
+  FaultCommand failure;
+  failure.type = FaultCommand::Type::kNodeFailure;
+  failure.node = 4;
+  failure.start = 600.0;
+  bundle.faults.push_back(failure);
+  Simulator sim = bundle.make_simulator();
+  sim.run_until(bundle.config.duration);
+  const SimulationResult snapshot = sim.snapshot_result();
+  const SimulationResult result = sim.run();
+
+  ASSERT_FALSE(snapshot.sink_log.empty());
+  ASSERT_EQ(result.sink_log.size(), snapshot.sink_log.size());
+  for (std::size_t i = 0; i < result.sink_log.size(); ++i) {
+    const SinkPacketRecord& a = result.sink_log[i];
+    const SinkPacketRecord& b = snapshot.sink_log[i];
+    EXPECT_EQ(a.recv_time, b.recv_time) << "record " << i;
+    EXPECT_EQ(a.origin, b.origin) << "record " << i;
+    EXPECT_EQ(a.epoch, b.epoch) << "record " << i;
+    EXPECT_EQ(a.type, b.type) << "record " << i;
+    EXPECT_EQ(a.values, b.values) << "record " << i;
+    EXPECT_EQ(a.hops, b.hops) << "record " << i;
+  }
+  ASSERT_EQ(result.originations.size(), snapshot.originations.size());
+  for (std::size_t i = 0; i < result.originations.size(); ++i) {
+    EXPECT_EQ(result.originations[i].time, snapshot.originations[i].time);
+    EXPECT_EQ(result.originations[i].origin, snapshot.originations[i].origin);
+    EXPECT_EQ(result.originations[i].epoch, snapshot.originations[i].epoch);
+    EXPECT_EQ(result.originations[i].type, snapshot.originations[i].type);
+  }
+  ASSERT_EQ(result.ground_truth.size(), 1u);
+  ASSERT_EQ(snapshot.ground_truth.size(), 1u);
+  EXPECT_EQ(result.ground_truth[0].hazard, snapshot.ground_truth[0].hazard);
+  EXPECT_EQ(result.ground_truth[0].affected_nodes,
+            snapshot.ground_truth[0].affected_nodes);
+  EXPECT_EQ(result.stats.packets_at_sink, snapshot.stats.packets_at_sink);
 }
 
 TEST(Simulator, CountersAreMonotoneWithoutReboots) {

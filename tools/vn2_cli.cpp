@@ -12,12 +12,17 @@
 // snapshot), so field data exported from a real deployment can be run
 // through `train`/`diagnose` unchanged.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/incident.hpp"
@@ -50,9 +55,34 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
+  /// A finite double, parsed whole.
   [[nodiscard]] double number(const std::string& key, double fallback) const {
+    return parsed(key, fallback);
+  }
+  /// An unsigned integer, parsed whole.
+  [[nodiscard]] std::uint64_t count(const std::string& key,
+                                    std::uint64_t fallback) const {
+    return parsed(key, fallback);
+  }
+  /// Option `key` as a T, or `fallback` when it is absent. Text that does
+  /// not parse whole throws, naming the option and the text.
+  template <typename T>
+  [[nodiscard]] T parsed(const std::string& key, T fallback) const {
     auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    const char* last = text.data() + text.size();
+    T value{};
+    const auto [end, error] = std::from_chars(text.data(), last, value);
+    bool valid = error == std::errc() && end == last;
+    if constexpr (std::is_floating_point_v<T>)
+      valid = valid && std::isfinite(value);
+    if (!valid)
+      throw std::invalid_argument(
+          "--" + key + ": '" + text + "' is not a " +
+          (std::is_floating_point_v<T> ? "finite number"
+                                       : "non-negative integer"));
+    return value;
   }
   [[nodiscard]] bool flag(const std::string& key) const {
     auto it = flags.find(key);
@@ -108,7 +138,8 @@ int usage() {
       "\n"
       "global options:\n"
       "  --threads N   thread budget for analysis/simulation hot paths\n"
-      "                (default: hardware concurrency; 1 = fully serial)\n"
+      "                (at most 1024; default: hardware concurrency;\n"
+      "                1 = fully serial)\n"
       "  --linalg-backend auto|reference|simd\n"
       "                dense-kernel implementation (default auto: simd when\n"
       "                the host CPU supports it, else reference; forcing\n"
@@ -153,7 +184,7 @@ scenario::ScenarioBundle make_scenario_bundle(const std::string& kind,
   if (kind == "citysee") {
     scenario::CityseeParams params;
     params.days = args.number("days", 1.0);
-    params.node_count = static_cast<std::size_t>(args.number("nodes", 286));
+    params.node_count = args.count("nodes", 286);
     params.seed = run_seed;
     bundle = scenario::citysee_field(params);
   } else if (kind == "testbed") {
@@ -162,7 +193,7 @@ scenario::ScenarioBundle make_scenario_bundle(const std::string& kind,
     bundle = scenario::testbed(params);
   } else {
     bundle =
-        scenario::tiny(static_cast<std::size_t>(args.number("nodes", 16)),
+        scenario::tiny(args.count("nodes", 16),
                        args.number("days", 0.125) * 86400.0, run_seed,
                        args.number("spacing", 8.0));
   }
@@ -176,8 +207,8 @@ int cmd_simulate(const Args& args) {
     std::fprintf(stderr, "simulate: --out is required\n");
     return 2;
   }
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 7));
-  const auto runs = static_cast<std::size_t>(args.number("runs", 1));
+  const std::uint64_t seed = args.count("seed", 7);
+  const std::size_t runs = args.count("runs", 1);
   if (runs == 0) {
     std::fprintf(stderr, "simulate: --runs must be >= 1\n");
     return 2;
@@ -262,7 +293,7 @@ int cmd_train(const Args& args) {
               trace_path.c_str());
 
   core::TrainingOptions options;
-  options.rank = static_cast<std::size_t>(args.number("rank", 0));
+  options.rank = args.count("rank", 0);
   options.exception_threshold = args.number("threshold", 0.30);
   options.skip_exception_extraction = args.flag("skip-extraction");
   const core::TrainingReport report =
@@ -310,7 +341,7 @@ int cmd_diagnose(const Args& args) {
   core::Vn2Tool tool =
       core::Vn2Tool::from_model(core::Vn2Model::load(model_path));
   const auto states = load_states(trace_path);
-  const auto top = static_cast<std::size_t>(args.number("top", 10));
+  const std::size_t top = args.count("top", 10);
   const bool all = args.flag("all");
 
   // --batch-size N: the streaming path. States flow through
@@ -318,8 +349,7 @@ int cmd_diagnose(const Args& args) {
   // only the exceptions' (ε, index) pairs, and the shown ones are
   // re-explained afterwards. Same ε ranking and output as the batch path,
   // with memory bounded by the batch instead of the whole trace.
-  if (const auto batch_size =
-          static_cast<std::size_t>(args.number("batch-size", 0));
+  if (const std::size_t batch_size = args.count("batch-size", 0);
       batch_size > 0) {
     core::StreamOptions stream_options;
     stream_options.batch_size = batch_size;
@@ -483,8 +513,7 @@ int profile_diff(const Args& args) {
   }
   telemetry::ProfDiffOptions options;
   options.relative_floor = args.number("floor", options.relative_floor);
-  options.min_delta_ns = static_cast<std::uint64_t>(args.number(
-      "min-ns", static_cast<double>(options.min_delta_ns)));
+  options.min_delta_ns = args.count("min-ns", options.min_delta_ns);
   if (options.relative_floor < 0.0) {
     std::fprintf(stderr, "profile: --floor must be non-negative\n");
     return 2;
@@ -517,8 +546,8 @@ int cmd_profile(const Args& args) {
   }
   const std::string kind = args.get("scenario", "tiny");
   if (!known_scenario(kind)) return unknown_scenario("profile", kind);
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 7));
-  const auto top = static_cast<std::size_t>(args.number("top", 12));
+  const std::uint64_t seed = args.count("seed", 7);
+  const std::size_t top = args.count("top", 12);
   // --json: machine-readable mode — the only stdout output is the
   // telemetry snapshot JSON (spans, counters, resource usage).
   const bool json = args.flag("json");
@@ -531,8 +560,7 @@ int cmd_profile(const Args& args) {
   // --sample-ms N: background resource time series over the pipeline
   // (0 disables; the sampler is also a no-op when telemetry is compiled
   // out). The series rides along in every snapshot written below.
-  const auto sample_ms =
-      static_cast<std::uint64_t>(args.number("sample-ms", 25));
+  const std::uint64_t sample_ms = args.count("sample-ms", 25);
   telemetry::SamplerOptions sampler_options;
   sampler_options.interval_ms = sample_ms > 0 ? sample_ms : 1;
   telemetry::ResourceSampler sampler(sampler_options);
@@ -556,7 +584,7 @@ int cmd_profile(const Args& args) {
     return 1;
   }
   core::TrainingOptions options;
-  options.rank = static_cast<std::size_t>(args.number("rank", 0));
+  options.rank = args.count("rank", 0);
   options.exception_threshold = args.number("threshold", 0.30);
   const linalg::Matrix state_matrix = trace::states_matrix(states);
   const core::TrainingReport report = core::train(state_matrix, options);
@@ -670,10 +698,17 @@ int main(int argc, char** argv) {
       return 2;
     }
     // Global thread budget: applies to every subcommand's hot paths
-    // (matmul, rank sweep, batch NNLS, batch simulation).
-    if (!args.get("threads").empty())
-      vn2::core::set_num_threads(
-          static_cast<std::size_t>(args.number("threads", 0)));
+    // (matmul, rank sweep, batch NNLS, batch simulation). The cap keeps a
+    // typo from asking the system for thousands of threads.
+    if (!args.get("threads").empty()) {
+      constexpr std::uint64_t kMaxThreads = 1024;
+      const std::uint64_t threads = args.count("threads", 0);
+      if (threads > kMaxThreads)
+        throw std::invalid_argument("--threads: '" + args.get("threads") +
+                                    "' is out of range 0-" +
+                                    std::to_string(kMaxThreads));
+      vn2::core::set_num_threads(threads);
+    }
     // Global kernel backend: which dense-kernel implementation the linalg
     // hot paths dispatch to (results are backend-independent by contract).
     if (const std::string backend = args.get("linalg-backend");
